@@ -7,9 +7,11 @@
 //! `CsmService` (pure ingest: every update is vacuously label-safe, so the
 //! whole stream commits through `apply_edge_batch`), and reports the
 //! best-of-reps wall clock. The `speedup` column is the same workload's
-//! 1-shard time over the cell's time — the 1-shard configuration takes the
-//! serial per-op path (`DataGraph` status quo), so this is exactly the
-//! update-apply throughput win of the grouped per-shard merge.
+//! 1-shard time over the cell's time. The 1-shard `ShardedGraph` keeps a
+//! serial per-op branch (`insert_edge`/`remove_edge` per update), which is
+//! the status quo here, so this is the update-apply throughput win of the
+//! batched per-shard appliers over per-op splicing. `DataGraph` itself
+//! applies batches with the same grouped applier as the shards.
 //!
 //! Correctness is asserted **in-cell** before any timing is recorded:
 //! a two-session run over the cell's sharded graph must produce
@@ -84,10 +86,11 @@ fn base_graph(seed: u64, dense: bool) -> DataGraph {
         g.add_vertex(VLabel(i % 6));
     }
     let mut seen: HashSet<(u32, u32)> = HashSet::new();
-    let mut batch: Vec<(VertexId, VertexId, ELabel)> = Vec::new();
+    let mut batch: Vec<(EdgeUpdate, bool)> = Vec::new();
     let mut push = |seen: &mut HashSet<(u32, u32)>, a: u32, b: u32| {
         if a != b && seen.insert((a.min(b), a.max(b))) {
-            batch.push((VertexId(a), VertexId(b), ELabel((a + b) % 3)));
+            let e = EdgeUpdate::new(VertexId(a), VertexId(b), ELabel((a + b) % 3));
+            batch.push((e, true));
             true
         } else {
             false
@@ -108,8 +111,12 @@ fn base_graph(seed: u64, dense: bool) -> DataGraph {
         let (a, b) = (rng.below(NV as u64) as u32, rng.below(NV as u64) as u32);
         added += usize::from(push(&mut seen, a, b));
     }
-    let applied = g.apply_inserts_parallel_with(&batch, 2);
-    assert_eq!(applied, batch.len(), "base batch is valid by construction");
+    let mut changed = Vec::with_capacity(batch.len());
+    g.apply_edge_batch_with(&batch, &mut changed, 2);
+    assert!(
+        changed.iter().all(|&c| c),
+        "base batch is valid by construction"
+    );
     g
 }
 

@@ -15,10 +15,16 @@
 //! * the search phase only ever holds `&DataGraph`, so multi-threaded
 //!   enumeration is data-race-free by construction (no locks on the hot
 //!   path);
-//! * batched *safe* insertions (inter-update parallelism, paper §4.2) are
-//!   applied in parallel by grouping operations per endpoint and handing
-//!   each scoped-thread task a disjoint sub-slice of the adjacency table —
-//!   disjoint `&mut` borrows, no locks, no unsafe.
+//! * every batched edge write — the batch executor's safe updates
+//!   (inter-update parallelism, paper §4.2), the shard appliers, bulk
+//!   loads — goes through one ordered applier,
+//!   [`DataGraph::apply_edge_batch_with`]: it groups half-ops per endpoint
+//!   once, hands each scoped-thread task a disjoint sub-slice of the
+//!   adjacency table (disjoint `&mut` borrows, no locks, no unsafe), and
+//!   applies each endpoint's FIFO run by per-op splicing or, for a long
+//!   run against a long list, one merged rebuild (`merge_pays`: run
+//!   length `k ≥ 32` and `k · len ≥ 2^20`, from a cold-list measurement
+//!   in DESIGN.md §3.14).
 //!
 //! **Ordering contract:** `neighbors(v)` is sorted by `(L(neighbor),
 //! elabel, id)`, *not* globally by id. Within one `(vlabel, elabel)` group
@@ -31,6 +37,7 @@
 use crate::error::{GraphError, Result};
 use crate::ids::{ELabel, VLabel, VertexId};
 use crate::par;
+use crate::update::EdgeUpdate;
 
 /// Packed partition key: vertex label in the high 32 bits, edge label in
 /// the low 32. Lexicographic `u64` order == `(VLabel, ELabel)` order.
@@ -176,22 +183,36 @@ impl AdjList {
         true
     }
 
-    /// Apply a FIFO sequence of half-edge operations in one list rebuild.
-    ///
-    /// Semantically identical to calling [`AdjList::insert`] /
-    /// [`AdjList::remove`] per op in sequence — each op's `changed` flag
-    /// (appended to `out` with its tag) reflects the list state produced
-    /// by the ops before it — but the entry vector is spliced **once**:
+    /// Apply one endpoint's FIFO run of half-ops, pushing one `changed`
+    /// flag per op. Each flag reflects the list state the ops before it
+    /// produced — exactly what calling [`AdjList::insert`] /
+    /// [`AdjList::remove`] per op gives. Short runs do just that, splicing
+    /// in place; long runs against long lists pay one merged rebuild
+    /// instead ([`merge_pays`]).
+    fn apply_run(&mut self, run: &[Tagged], out: &mut Vec<bool>) {
+        if merge_pays(run.len(), self.len()) {
+            self.apply_merged(run, out);
+            return;
+        }
+        for &(_, _, op) in run {
+            out.push(match op {
+                HalfOp::Insert { n, el, nl } => self.insert(n, el, nl),
+                HalfOp::Remove { n, nl } => self.remove(n, nl).is_some(),
+            });
+        }
+    }
+
+    /// [`AdjList::apply_run`]'s long-run branch: replay the run against the
+    /// touched neighbors only, then splice the entry vector **once** —
     /// `O(len + k log k)` instead of the `O(k · len)` shifts of per-op
-    /// application. This is what makes a single-writer shard applier
-    /// beat the serial per-op path on dense (hub-heavy) batches.
-    fn apply_ops_merged(&mut self, ops: &[(u32, HalfOp)], out: &mut Vec<(u32, bool)>) {
+    /// application.
+    fn apply_merged(&mut self, run: &[Tagged], out: &mut Vec<bool>) {
         // Distinct touched neighbors, with their initial edge label. A
         // neighbor's vertex label is stable for the whole batch (vertex
         // updates never share a batch with edge updates).
-        let mut touched: Vec<(VertexId, VLabel)> = ops
+        let mut touched: Vec<(VertexId, VLabel)> = run
             .iter()
-            .map(|&(_, op)| (op.neighbor(), op.neighbor_label()))
+            .map(|&(_, _, op)| (op.neighbor(), op.neighbor_label()))
             .collect();
         touched.sort_unstable_by_key(|&(n, _)| n);
         touched.dedup_by_key(|e| e.0);
@@ -199,11 +220,11 @@ impl AdjList {
         let mut cur = init.clone();
 
         // Replay the sequence against the touched-set state only.
-        for &(tag, op) in ops {
+        for &(_, _, op) in run {
             let i = touched
                 .binary_search_by_key(&op.neighbor(), |&(n, _)| n)
                 .expect("op neighbor missing from touched set");
-            let changed = match op {
+            out.push(match op {
                 HalfOp::Insert { el, .. } => {
                     if cur[i].is_none() {
                         cur[i] = Some(el);
@@ -213,8 +234,7 @@ impl AdjList {
                     }
                 }
                 HalfOp::Remove { .. } => cur[i].take().is_some(),
-            };
-            out.push((tag, changed));
+            });
         }
 
         // Net effect per neighbor → one merged rebuild.
@@ -316,19 +336,9 @@ impl AdjList {
     }
 }
 
-/// A single endpoint-local adjacency operation used by the parallel bulk
-/// application path. Carries the *neighbor's* vertex label so each task
-/// can maintain the partition index without touching shared state.
-#[derive(Clone, Copy, Debug)]
-enum AdjOp {
-    Insert(VertexId, ELabel, VLabel),
-    Remove(VertexId, VLabel),
-}
-
-/// One endpoint-local half of an undirected edge operation, as routed by
-/// [`crate::shard::ShardedGraph`] to the shard owning the endpoint. Like
-/// [`AdjOp`] it carries the neighbor's label so the partition index can be
-/// maintained without consulting (possibly remote) vertex metadata.
+/// One endpoint-local half of an undirected edge operation. It carries the
+/// neighbor's label so the partition index can be maintained without
+/// consulting (possibly remote) vertex metadata.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum HalfOp {
     /// Add neighbor `n` (labeled `nl`) over edge label `el`.
@@ -361,6 +371,108 @@ impl HalfOp {
     pub(crate) fn neighbor_label(self) -> VLabel {
         match self {
             HalfOp::Insert { nl, .. } | HalfOp::Remove { nl, .. } => nl,
+        }
+    }
+}
+
+/// A half-op addressed to endpoint `v`: `(tag, v, op)`. The tag is
+/// `op index << 1 | is_src_half` — monotone in batch order, so sorting by
+/// `(v, tag)` keeps every endpoint's run FIFO, and [`commit_verdicts`]
+/// knows which half's verdict to keep.
+pub(crate) type Tagged = (u32, VertexId, HalfOp);
+
+/// Run length below which [`AdjList::apply_run`] always splices.
+const MERGE_MIN_RUN: usize = 32;
+
+/// Run length × list length from which the merged rebuild pays.
+const MERGE_MIN_WORK: usize = 1 << 20;
+
+/// Should a run of `k` half-ops against a list of `len` entries take the
+/// merged rebuild? Splicing costs `k` binary searches plus `k` shifts of
+/// about `len / 2` entries; the rebuild costs one pass over `len + k`
+/// fresh entries plus a sort and a probe per touched neighbor, so it wins
+/// only once `k · len` outgrows the rebuild's per-op overhead. Measured on
+/// cold lists (DESIGN.md §3.14), the rebuild breaks even near `k = 32` on
+/// a 100 k list, `k ≈ 80` at 10 k and `k ≈ 512` at 1 k, and never at
+/// `k ≤ 16`.
+#[inline]
+fn merge_pays(k: usize, len: usize) -> bool {
+    k >= MERGE_MIN_RUN && k.saturating_mul(len) >= MERGE_MIN_WORK
+}
+
+/// Split an ordered edge batch (`true` = insert) into [`Tagged`] half-ops,
+/// one per endpoint of each valid op, in batch order. `label_of` answers
+/// `Some(label)` for alive vertices. Invalid ops (self-loop, dead or
+/// unknown endpoint) emit nothing, so their flag stays `false` — what
+/// `insert_edge(..).unwrap_or(false)` gives.
+pub(crate) fn split_edge_batch(
+    ops: &[(EdgeUpdate, bool)],
+    label_of: impl Fn(VertexId) -> Option<VLabel>,
+) -> Vec<Tagged> {
+    assert!(ops.len() < 1 << 31, "edge batch too long for u32 tags");
+    let mut half = Vec::with_capacity(2 * ops.len());
+    for (i, &(e, insert)) in ops.iter().enumerate() {
+        let (a, b) = (e.src, e.dst);
+        let (Some(la), Some(lb)) = (label_of(a), label_of(b)) else {
+            continue;
+        };
+        if a == b {
+            continue;
+        }
+        let tag = (i as u32) << 1;
+        let (to_b, to_a) = if insert {
+            let el = e.label;
+            (
+                HalfOp::Insert { n: b, el, nl: lb },
+                HalfOp::Insert { n: a, el, nl: la },
+            )
+        } else {
+            (
+                HalfOp::Remove { n: b, nl: lb },
+                HalfOp::Remove { n: a, nl: la },
+            )
+        };
+        half.push((tag | 1, a, to_b));
+        half.push((tag, b, to_a));
+    }
+    half
+}
+
+/// Fold half-op verdicts `(tag, changed)` into one `changed` flag per op
+/// of `ops` (appended to `changed`) and into the edge accounting:
+/// `n_edges` moves once per applied op and `max_elabel` takes applied
+/// inserts only — both exactly as applying each op in turn would leave
+/// them. The flag is the src half's verdict; the dst half must agree.
+pub(crate) fn commit_verdicts(
+    ops: &[(EdgeUpdate, bool)],
+    verdicts: impl Iterator<Item = (u32, bool)> + Clone,
+    changed: &mut Vec<bool>,
+    n_edges: &mut usize,
+    max_elabel: &mut u32,
+) {
+    let base = changed.len();
+    changed.resize(base + ops.len(), false);
+    let flags = &mut changed[base..];
+    for (tag, did) in verdicts.clone() {
+        if tag & 1 == 1 {
+            flags[(tag >> 1) as usize] = did;
+        }
+    }
+    #[cfg(debug_assertions)]
+    for (tag, did) in verdicts {
+        debug_assert!(
+            tag & 1 == 1 || flags[(tag >> 1) as usize] == did,
+            "half-edge verdicts diverged"
+        );
+    }
+    for (&(e, insert), &did) in ops.iter().zip(flags.iter()) {
+        if did {
+            if insert {
+                *n_edges += 1;
+                *max_elabel = (*max_elabel).max(e.label.0);
+            } else {
+                *n_edges -= 1;
+            }
         }
     }
 }
@@ -727,168 +839,80 @@ impl DataGraph {
         slice.iter().map(|&(n, _)| n)
     }
 
-    /// Apply a batch of pre-validated edge insertions in parallel.
+    /// Apply an ordered batch of edge updates (`true` = insert), pushing
+    /// one `changed` flag per op, over at most `nthreads` workers.
     ///
-    /// This is the *batch executor* fast path for safe updates (paper §4.2):
-    /// operations are grouped per endpoint, then every adjacency list is
-    /// mutated by exactly one scoped-thread task. The caller must guarantee
-    /// that within the batch no edge is duplicated and none already exists
-    /// in the graph, and that all endpoints are alive, non-equal vertices
-    /// (the classifier validates this sequentially in `O(log d)` per edge).
+    /// The flags, [`DataGraph::num_edges`] and [`DataGraph::max_edge_label`]
+    /// equal applying each op in turn with `insert_edge` / `remove_edge`:
+    /// an op sees every op before it, duplicates and re-inserts under a new
+    /// label included, and invalid ops (self-loop, dead endpoint) come back
+    /// `false`. This is the batch executor's bulk apply for safe updates
+    /// (paper §4.2) and DataGraph's [`crate::GraphShard::apply_edge_batch`]
+    /// at width 1.
     ///
-    /// Returns the number of edges inserted.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `apply_inserts_parallel_with` (explicit worker count) or the \
-                order-preserving `GraphShard::apply_edge_batch` seam"
-    )]
-    pub fn apply_inserts_parallel(&mut self, edges: &[(VertexId, VertexId, ELabel)]) -> usize {
-        self.apply_ops_parallel(edges, true, par::threads())
-    }
-
-    /// As [`DataGraph::apply_inserts_parallel`] with an explicit worker
-    /// count (engines pass their configured width instead of
-    /// oversubscribing to `available_parallelism`).
-    pub fn apply_inserts_parallel_with(
+    /// Each op becomes two tagged half-ops, grouped per endpoint once; each
+    /// endpoint's FIFO run goes through one per-list routine that splices
+    /// short runs in place and rebuilds a long list once for a long run.
+    /// Endpoint runs are split over scoped-thread jobs, each owning a
+    /// disjoint sub-slice of the adjacency table — no locks, no unsafe.
+    pub fn apply_edge_batch_with(
         &mut self,
-        edges: &[(VertexId, VertexId, ELabel)],
+        ops: &[(EdgeUpdate, bool)],
+        changed: &mut Vec<bool>,
         nthreads: usize,
-    ) -> usize {
-        self.apply_ops_parallel(edges, true, nthreads)
+    ) {
+        let mut half = split_edge_batch(ops, |v| self.is_alive(v).then(|| self.labels[v.index()]));
+        let did = self.apply_half_ops(&mut half, nthreads);
+        let verdicts = half.iter().zip(did).map(|(&(tag, _, _), d)| (tag, d));
+        commit_verdicts(
+            ops,
+            verdicts,
+            changed,
+            &mut self.n_edges,
+            &mut self.max_elabel,
+        );
     }
 
-    /// Parallel counterpart of [`DataGraph::apply_inserts_parallel_with`]
-    /// for deletions. Same preconditions, except every edge must *exist*.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `apply_deletes_parallel_with` (explicit worker count) or the \
-                order-preserving `GraphShard::apply_edge_batch` seam"
-    )]
-    pub fn apply_deletes_parallel(&mut self, edges: &[(VertexId, VertexId, ELabel)]) -> usize {
-        self.apply_ops_parallel(edges, false, par::threads())
-    }
-
-    /// As [`DataGraph::apply_deletes_parallel`] with an explicit worker
-    /// count.
-    pub fn apply_deletes_parallel_with(
-        &mut self,
-        edges: &[(VertexId, VertexId, ELabel)],
-        nthreads: usize,
-    ) -> usize {
-        self.apply_ops_parallel(edges, false, nthreads)
-    }
-
-    fn apply_ops_parallel(
-        &mut self,
-        edges: &[(VertexId, VertexId, ELabel)],
-        insert: bool,
-        nthreads: usize,
-    ) -> usize {
-        if edges.is_empty() {
-            return 0;
+    /// Apply tagged half-ops to their endpoints' lists, returning one
+    /// `changed` flag per op of `ops` as sorted on return (by endpoint,
+    /// then tag). Every endpoint must have a slot; its neighbors need not
+    /// (a shard's neighbor may live on another shard). Vertex and edge
+    /// counts are the caller's to keep.
+    pub(crate) fn apply_half_ops(&mut self, ops: &mut [Tagged], nthreads: usize) -> Vec<bool> {
+        ops.sort_unstable_by_key(|&(tag, v, _)| (v, tag));
+        let runs: Vec<&[Tagged]> = ops.chunk_by(|x, y| x.1 == y.1).collect();
+        if runs.is_empty() {
+            return Vec::new();
         }
-        // Small batches: the grouping overhead exceeds the parallel win.
-        if edges.len() < 64 {
-            let mut applied = 0;
-            for &(a, b, l) in edges {
-                let changed = if insert {
-                    self.insert_edge(a, b, l).unwrap_or(false)
-                } else {
-                    self.remove_edge(a, b).map(|r| r.is_some()).unwrap_or(false)
-                };
-                applied += usize::from(changed);
-            }
-            return applied;
-        }
-
-        // Group the per-endpoint operations, sorted by endpoint id so we can
-        // hand each task a contiguous run. Neighbor labels are resolved here,
-        // while we still hold `&self` coherently. Edges violating the
-        // preconditions (self-loop, dead or unknown endpoint) are skipped
-        // and counted as unapplied — exactly what the sequential small-batch
-        // path does via `insert_edge(..).unwrap_or(false)`. Before this
-        // check, a sparse id stream (slots grown by `ensure_vertex`, some
-        // endpoints never ensured) panicked here on the adjacency carve
-        // while sailing through the sequential path.
-        let mut ops: Vec<(VertexId, AdjOp)> = Vec::with_capacity(edges.len() * 2);
-        for &(a, b, l) in edges {
-            if a == b || !self.is_alive(a) || !self.is_alive(b) {
-                continue;
-            }
-            let (la, lb) = (self.labels[a.index()], self.labels[b.index()]);
-            if insert {
-                ops.push((a, AdjOp::Insert(b, l, lb)));
-                ops.push((b, AdjOp::Insert(a, l, la)));
-            } else {
-                ops.push((a, AdjOp::Remove(b, lb)));
-                ops.push((b, AdjOp::Remove(a, la)));
-            }
-        }
-        if ops.is_empty() {
-            return 0;
-        }
-        ops.sort_unstable_by_key(|&(v, _)| v);
-
-        // Split into per-vertex runs (runs are sorted by vertex index).
-        let mut runs: Vec<(usize, &[(VertexId, AdjOp)])> = Vec::new();
-        let mut start = 0;
-        while start < ops.len() {
-            let v = ops[start].0;
-            let mut end = start + 1;
-            while end < ops.len() && ops[end].0 == v {
-                end += 1;
-            }
-            runs.push((v.index(), &ops[start..end]));
-            start = end;
-        }
+        // Below ~128 half-ops spawning costs more than it saves.
+        let nthreads = nthreads.max(1).min(runs.len()).min(ops.len().div_ceil(128));
 
         // Disjoint mutable access: chunk the run list contiguously, then
         // carve `adj` into per-chunk sub-slices at the chunk boundaries.
         // Runs within a chunk touch only indices inside its sub-slice.
         // Spawning is delegated to `par::run_jobs` (the linter confines
         // raw thread::scope to par.rs/inner.rs).
-        let nthreads = nthreads.max(1).min(runs.len());
         let chunk_size = runs.len().div_ceil(nthreads);
         let mut jobs = Vec::with_capacity(nthreads);
         let mut rest: &mut [AdjList] = self.adj.as_mut_slice();
         let mut offset = 0usize;
         for chunk in runs.chunks(chunk_size) {
-            let first = chunk[0].0;
-            let last = chunk[chunk.len() - 1].0;
+            let first = chunk[0][0].1.index();
+            let last = chunk[chunk.len() - 1][0].1.index();
             let tail = std::mem::take(&mut rest);
             let (_skip, tail) = tail.split_at_mut(first - offset);
             let (mine, tail) = tail.split_at_mut(last - first + 1);
             rest = tail;
             offset = last + 1;
             jobs.push(move || {
-                let mut changed = 0usize;
-                for &(idx, run) in chunk {
-                    let list = &mut mine[idx - first];
-                    for &(_, op) in run {
-                        let did = match op {
-                            AdjOp::Insert(n, l, nl) => list.insert(n, l, nl),
-                            AdjOp::Remove(n, nl) => list.remove(n, nl).is_some(),
-                        };
-                        changed += usize::from(did);
-                    }
+                let mut out = Vec::new();
+                for run in chunk {
+                    mine[run[0].1.index() - first].apply_run(run, &mut out);
                 }
-                changed
+                out
             });
         }
-        let applied: usize = par::run_jobs(jobs).into_iter().sum();
-
-        // Each undirected edge contributed two endpoint ops.
-        debug_assert!(applied.is_multiple_of(2), "asymmetric parallel application");
-        let n = applied / 2;
-        if insert {
-            self.n_edges += n;
-            for &(_, _, l) in edges {
-                self.max_elabel = self.max_elabel.max(l.0);
-            }
-        } else {
-            self.n_edges -= n;
-        }
-        n
+        par::run_jobs(jobs).concat()
     }
 
     /// Insert the `v → n` **half** of an undirected edge, bypassing alive
@@ -904,18 +928,6 @@ impl DataGraph {
     /// Remove the `v → n` half-edge. See [`DataGraph::half_insert`].
     pub(crate) fn half_remove(&mut self, v: VertexId, n: VertexId, nl: VLabel) -> Option<ELabel> {
         self.adj[v.index()].remove(n, nl)
-    }
-
-    /// Apply a FIFO run of half-edge ops against `v`'s list in one merged
-    /// rebuild, appending `(tag, changed)` per op. See
-    /// [`AdjList::apply_ops_merged`] for semantics and cost.
-    pub(crate) fn apply_half_ops(
-        &mut self,
-        v: VertexId,
-        ops: &[(u32, HalfOp)],
-        out: &mut Vec<(u32, bool)>,
-    ) {
-        self.adj[v.index()].apply_ops_merged(ops, out);
     }
 
     /// Probe `v`'s adjacency for neighbor `n` under label `nl` without any
@@ -1275,9 +1287,15 @@ mod tests {
         g.check_invariants().unwrap();
     }
 
+    fn insert_ops(edges: &[(VertexId, VertexId, ELabel)]) -> Vec<(EdgeUpdate, bool)> {
+        edges
+            .iter()
+            .map(|&(a, b, l)| (EdgeUpdate::new(a, b, l), true))
+            .collect()
+    }
+
     #[test]
-    #[allow(deprecated)] // pins the deprecated alias to the `_with` behavior
-    fn parallel_insert_matches_sequential() {
+    fn batch_insert_with_hot_vertex_matches_sequential() {
         let mut seq = DataGraph::new();
         let mut par = DataGraph::new();
         for i in 0..200 {
@@ -1288,17 +1306,16 @@ mod tests {
         for i in 0..199u32 {
             edges.push((VertexId(i), VertexId(i + 1), ELabel(i % 3)));
         }
-        // A star to stress one hot vertex.
+        // A star: one endpoint run long enough for the merged rebuild.
         for i in 2..150u32 {
-            if i != 1 {
-                edges.push((VertexId(0), VertexId(i), ELabel(1)));
-            }
+            edges.push((VertexId(0), VertexId(i), ELabel(1)));
         }
         for &(a, b, l) in &edges {
             seq.insert_edge(a, b, l).unwrap();
         }
-        let n = par.apply_inserts_parallel(&edges);
-        assert_eq!(n, edges.len());
+        let mut changed = Vec::new();
+        par.apply_edge_batch_with(&insert_ops(&edges), &mut changed, 2);
+        assert!(changed.iter().all(|&c| c));
         assert_eq!(par.num_edges(), seq.num_edges());
         for &(a, b, l) in &edges {
             assert_eq!(par.edge_label(a, b), Some(l));
@@ -1306,38 +1323,36 @@ mod tests {
         par.check_invariants().unwrap();
     }
 
+    /// The hub runs of `parallel_apply_props` straddle the rule: 255 ops
+    /// on a 4096-long list splice, 256 merge.
     #[test]
-    #[allow(deprecated)] // pins the deprecated alias to the `_with` behavior
-    fn parallel_delete_matches_sequential() {
-        let mut g = DataGraph::new();
-        for i in 0..300 {
-            g.add_vertex(VLabel(i % 2));
-        }
-        let mut edges = Vec::new();
-        for i in 0..299u32 {
-            edges.push((VertexId(i), VertexId(i + 1), ELabel(0)));
-        }
-        for &(a, b, l) in &edges {
-            g.insert_edge(a, b, l).unwrap();
-        }
-        let doomed: Vec<_> = edges.iter().copied().step_by(2).collect();
-        let n = g.apply_deletes_parallel(&doomed);
-        assert_eq!(n, doomed.len());
-        assert_eq!(g.num_edges(), edges.len() - doomed.len());
-        for &(a, b, _) in &doomed {
-            assert!(!g.has_edge(a, b));
-        }
-        g.check_invariants().unwrap();
+    fn merge_rule_straddles_the_property_hubs() {
+        assert!(!merge_pays(255, 4096));
+        assert!(merge_pays(256, 4096));
+        assert!(!merge_pays(MERGE_MIN_RUN - 1, 1 << 20));
+        assert!(merge_pays(MERGE_MIN_RUN, 1 << 15));
     }
 
+    /// Regression: a bulk insert of 64+ edges once took `max_edge_label`
+    /// from every edge in the batch, skipped ones included.
     #[test]
-    #[allow(deprecated)] // pins the deprecated alias to the `_with` behavior
-    fn small_parallel_batch_takes_sequential_path() {
+    fn batch_max_edge_label_counts_applied_inserts_only() {
         let mut g = DataGraph::new();
-        let a = g.add_vertex(VLabel(0));
-        let b = g.add_vertex(VLabel(0));
-        let n = g.apply_inserts_parallel(&[(a, b, ELabel(3))]);
-        assert_eq!(n, 1);
-        assert_eq!(g.edge_label(a, b), Some(ELabel(3)));
+        for i in 0..80 {
+            g.add_vertex(VLabel(i % 3));
+        }
+        let mut edges: Vec<_> = (0..64u32)
+            .map(|i| (VertexId(i), VertexId(i + 1), ELabel(i % 4)))
+            .collect();
+        edges.push((VertexId(70), VertexId(70), ELabel(1000)));
+        let mut seq = g.clone();
+        for &(a, b, l) in &edges {
+            let _ = seq.insert_edge(a, b, l);
+        }
+        let mut changed = Vec::new();
+        g.apply_edge_batch_with(&insert_ops(&edges), &mut changed, 2);
+        assert_eq!(changed.iter().filter(|&&c| c).count(), 64);
+        assert_eq!(g.max_edge_label(), seq.max_edge_label());
+        assert_eq!(g.max_edge_label(), 3);
     }
 }

@@ -68,8 +68,9 @@ pub fn map_slice_with<T: Sync, R: Send>(
 /// Fork-join a set of prepared jobs (one scoped thread each) and return
 /// their results in job order. This is the only spawning primitive
 /// callers outside this module and the inner executor should use — the
-/// project linter (`csm-lint`) confines raw `std::thread::{spawn, scope}`
-/// to `par.rs`/`inner.rs` so every fork-join site stays auditable.
+/// project analyzer (`csm-analyze`) confines raw
+/// `std::thread::{spawn, scope}` to `par.rs`/`inner.rs` so every fork-join
+/// site stays auditable.
 ///
 /// Jobs may borrow from the caller's stack (including disjoint `&mut`
 /// sub-slices carved with `split_at_mut`); a single job runs inline

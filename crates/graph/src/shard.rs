@@ -44,7 +44,7 @@
 //! both owners decide identically without coordinating.
 
 use crate::error::{GraphError, Result};
-use crate::graph::{DataGraph, HalfOp};
+use crate::graph::{commit_verdicts, split_edge_batch, DataGraph, HalfOp, Tagged};
 use crate::ids::{ELabel, VLabel, VertexId};
 use crate::par;
 use crate::update::{EdgeUpdate, Update};
@@ -171,24 +171,15 @@ pub trait GraphShard: Send + Sync {
     }
 
     /// Apply a FIFO batch of edge updates (`true` = insert), pushing one
-    /// per-op `changed` flag. The reference semantics are exactly the
-    /// serial loop below — an op sees the graph produced by every op
-    /// before it; invalid ops (self-loop, dead endpoint) come back
-    /// `false`. [`ShardedGraph`] overrides this with the multi-writer
-    /// shard-applier pipeline, which preserves these semantics
+    /// per-op `changed` flag. The reference semantics are the serial loop
+    /// of `insert_edge(..).unwrap_or(false)` / `remove_edge(..)` calls — an
+    /// op sees the graph produced by every op before it; invalid ops
+    /// (self-loop, dead endpoint) come back `false`. [`DataGraph`] and
+    /// [`MemShard`] apply the batch with
+    /// [`DataGraph::apply_edge_batch_with`]; [`ShardedGraph`] with its
+    /// multi-writer shard-applier pipeline. Both preserve these semantics
     /// bit-for-bit.
-    fn apply_edge_batch(&mut self, ops: &[(EdgeUpdate, bool)], changed: &mut Vec<bool>) {
-        for &(e, insert) in ops {
-            let did = if insert {
-                self.insert_edge(e.src, e.dst, e.label).unwrap_or(false)
-            } else {
-                self.remove_edge(e.src, e.dst)
-                    .map(|r| r.is_some())
-                    .unwrap_or(false)
-            };
-            changed.push(did);
-        }
-    }
+    fn apply_edge_batch(&mut self, ops: &[(EdgeUpdate, bool)], changed: &mut Vec<bool>);
 
     // --- shard topology / stats ---
 
@@ -305,6 +296,9 @@ impl GraphShard for DataGraph {
     }
     fn remove_edge(&mut self, a: VertexId, b: VertexId) -> Result<Option<ELabel>> {
         DataGraph::remove_edge(self, a, b)
+    }
+    fn apply_edge_batch(&mut self, ops: &[(EdgeUpdate, bool)], changed: &mut Vec<bool>) {
+        self.apply_edge_batch_with(ops, changed, 1)
     }
 }
 
@@ -461,37 +455,24 @@ impl MemShard {
         out
     }
 
-    /// Apply one shard's FIFO half-op run: stable-sort by local endpoint
-    /// (preserving per-endpoint op order), then splice each endpoint's
-    /// ops into its adjacency list with **one** merged rebuild instead of
-    /// per-op `O(d)` shifts. Returns `(tag, changed)` per op.
-    fn apply_half_run(&mut self, mut list: Vec<(u32, VertexId, HalfOp)>) -> Vec<(u32, bool)> {
+    /// Apply one shard's FIFO half-op run with the graph's per-endpoint
+    /// applier ([`DataGraph::apply_edge_batch_with`]'s back half) on this
+    /// shard's single writer. Returns `(tag, changed)` per op.
+    fn apply_half_run(&mut self, mut list: Vec<Tagged>) -> Vec<(u32, bool)> {
         self.applied_ops += list.len() as u64;
-        list.sort_by_key(|&(_, v, _)| v);
-        let mut out = Vec::with_capacity(list.len());
-        let mut scratch: Vec<(u32, HalfOp)> = Vec::new();
-        let mut i = 0;
-        while i < list.len() {
-            let v = list[i].1;
-            scratch.clear();
-            let mut j = i;
-            while j < list.len() && list[j].1 == v {
-                scratch.push((list[j].0, list[j].2));
-                j += 1;
-            }
-            let before = out.len();
-            self.g.apply_half_ops(v, &scratch, &mut out);
-            for (k, &(_, did)) in out[before..].iter().enumerate() {
+        let did = self.g.apply_half_ops(&mut list, 1);
+        list.iter()
+            .zip(did)
+            .map(|(&(tag, _, op), did)| {
                 if did {
-                    match scratch[k].1 {
+                    match op {
                         HalfOp::Insert { .. } => self.half_edges += 1,
                         HalfOp::Remove { .. } => self.half_edges -= 1,
                     }
                 }
-            }
-            i = j;
-        }
-        out
+                (tag, did)
+            })
+            .collect()
     }
 }
 
@@ -575,6 +556,11 @@ impl GraphShard for MemShard {
         self.half_edges -= 2 * usize::from(out.is_some());
         Ok(out)
     }
+    fn apply_edge_batch(&mut self, ops: &[(EdgeUpdate, bool)], changed: &mut Vec<bool>) {
+        let before = self.g.num_edges();
+        self.g.apply_edge_batch_with(ops, changed, 1);
+        self.half_edges = self.half_edges + 2 * self.g.num_edges() - 2 * before;
+    }
     fn shard_stats(&self) -> Vec<ShardStats> {
         vec![ShardStats {
             shard: 0,
@@ -636,7 +622,7 @@ impl ShardedGraph {
 
     /// Shard an existing monolithic graph: every alive vertex keeps its
     /// id and label; every edge is re-routed to its owners. Bulk-loads
-    /// through the grouped batch paths (one adjacency rebuild per vertex
+    /// through the grouped batch applier (one adjacency rebuild per vertex
     /// instead of a per-edge `O(d)` splice), so resharding a dense graph
     /// is `O(E log E)` rather than `O(E·d)`.
     pub fn from_graph(cfg: ShardConfig, g: &DataGraph) -> Result<Self> {
@@ -644,25 +630,24 @@ impl ShardedGraph {
         for v in g.vertices() {
             GraphShard::ensure_vertex(&mut sg, v, DataGraph::label(g, v));
         }
+        let ops: Vec<(EdgeUpdate, bool)> = g
+            .edges()
+            .map(|(a, b, l)| (EdgeUpdate::new(a, b, l), true))
+            .collect();
+        let mut changed = Vec::new();
         if sg.shards.len() == 1 {
-            // A single shard owns every vertex, so full-edge bulk insert
-            // into its backing graph is sound.
-            let batch: Vec<(VertexId, VertexId, ELabel)> = g.edges().collect();
-            let applied = sg.shards[0].g.apply_inserts_parallel_with(&batch, 2);
-            debug_assert_eq!(applied, batch.len(), "source edges are valid and unique");
-            sg.shards[0].half_edges += 2 * applied;
-            sg.shards[0].applied_ops += 2 * applied as u64;
-            sg.n_edges = applied;
-            sg.max_elabel = batch.iter().map(|&(_, _, l)| l.0).max().unwrap_or(0);
+            // A single shard owns every vertex, so its backing graph can
+            // take the full-edge batch directly, on two workers.
+            let shard = &mut sg.shards[0];
+            shard.g.apply_edge_batch_with(&ops, &mut changed, 2);
+            shard.half_edges = 2 * shard.g.num_edges();
+            shard.applied_ops = 2 * ops.len() as u64;
+            sg.n_edges = shard.g.num_edges();
+            sg.max_elabel = shard.g.max_edge_label();
         } else {
-            let ops: Vec<(EdgeUpdate, bool)> = g
-                .edges()
-                .map(|(a, b, l)| (EdgeUpdate::new(a, b, l), true))
-                .collect();
-            let mut changed = Vec::new();
             sg.apply_edge_batch_sharded(&ops, &mut changed);
-            debug_assert!(changed.iter().all(|&c| c), "source edges all apply");
         }
+        debug_assert!(changed.iter().all(|&c| c), "source edges all apply");
         Ok(sg)
     }
 
@@ -696,27 +681,10 @@ impl ShardedGraph {
     /// `&mut` shards, then merge the per-op `changed` flags (taken from
     /// each op's `src`-owner half) and do global accounting serially.
     fn apply_edge_batch_sharded(&mut self, ops: &[(EdgeUpdate, bool)], changed: &mut Vec<bool>) {
-        let ns = self.shards.len();
-        let mut runs: Vec<Vec<(u32, VertexId, HalfOp)>> = vec![Vec::new(); ns];
-        // Tag = op index << 1 | is_src_half: monotone in op order, so a
-        // stable per-endpoint sort preserves FIFO, and the merge knows
-        // which half's verdict to keep.
-        for (i, &(e, insert)) in ops.iter().enumerate() {
-            let (a, b) = (e.src, e.dst);
-            if a == b || !GraphShard::is_alive(self, a) || !GraphShard::is_alive(self, b) {
-                continue; // verdict stays `false`, like the serial path
-            }
-            let (la, lb) = (self.labels[a.index()], self.labels[b.index()]);
-            let (sa, sb) = (GraphShard::shard_of(self, a), GraphShard::shard_of(self, b));
-            let tag = (i as u32) << 1;
-            if insert {
-                let el = e.label;
-                runs[sa].push((tag | 1, a, HalfOp::Insert { n: b, el, nl: lb }));
-                runs[sb].push((tag, b, HalfOp::Insert { n: a, el, nl: la }));
-            } else {
-                runs[sa].push((tag | 1, a, HalfOp::Remove { n: b, nl: lb }));
-                runs[sb].push((tag, b, HalfOp::Remove { n: a, nl: la }));
-            }
+        let mut runs: Vec<Vec<Tagged>> = vec![Vec::new(); self.shards.len()];
+        let label_of = |v: VertexId| GraphShard::is_alive(self, v).then(|| self.labels[v.index()]);
+        for half in split_edge_batch(ops, label_of) {
+            runs[self.cfg.shard_index_for(half.1)].push(half);
         }
 
         // One single-writer applier per shard; disjoint `&mut` borrows.
@@ -728,40 +696,16 @@ impl ShardedGraph {
             .collect();
         let results = par::run_jobs(jobs);
 
-        // Merge: src-half verdicts become the per-op flags.
-        let base = changed.len();
-        changed.resize(base + ops.len(), false);
-        for res in &results {
-            for &(tag, did) in res {
-                if tag & 1 == 1 {
-                    changed[base + (tag >> 1) as usize] = did;
-                }
-            }
-        }
-        #[cfg(debug_assertions)]
-        for res in &results {
-            for &(tag, did) in res {
-                if tag & 1 == 0 {
-                    debug_assert_eq!(
-                        changed[base + (tag >> 1) as usize],
-                        did,
-                        "half-edge verdicts diverged across shards"
-                    );
-                }
-            }
-        }
-
-        // Global accounting, serial and exact.
-        for (i, &(e, insert)) in ops.iter().enumerate() {
-            if changed[base + i] {
-                if insert {
-                    self.n_edges += 1;
-                    self.max_elabel = self.max_elabel.max(e.label.0);
-                } else {
-                    self.n_edges -= 1;
-                }
-            }
-        }
+        // Src-half verdicts become the per-op flags; global accounting is
+        // serial and exact.
+        let verdicts = results.iter().flatten().copied();
+        commit_verdicts(
+            ops,
+            verdicts,
+            changed,
+            &mut self.n_edges,
+            &mut self.max_elabel,
+        );
     }
 
     /// Structural invariant check for tests: meta/shard agreement, the

@@ -1,142 +1,204 @@
-//! Property tests: the parallel bulk-application fast path of the batch
-//! executor must be observationally identical to sequential application,
-//! for arbitrary valid batches.
+//! Property tests: the ordered edge-batch applier
+//! (`DataGraph::apply_edge_batch_with`) must be observationally identical
+//! to applying each op in turn — at every worker width, and on the
+//! `ShardedGraph` appliers at every shard count.
 
-use csm_graph::{DataGraph, ELabel, VLabel, VertexId};
+use csm_graph::{
+    DataGraph, ELabel, EdgeUpdate, GraphShard, ShardConfig, ShardedGraph, VLabel, VertexId,
+};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
-/// A candidate edge as raw generator output: `(src, dst, elabel)`.
-type RawEdge = (u32, u32, u32);
+/// A raw generated op: `(src, dst, elabel, kind)`. Kinds: 0 insert,
+/// 1 delete, 2 churn (insert → delete → re-insert under another label),
+/// 3 duplicate insert.
+type RawOp = (u32, u32, u32, u32);
 
-/// Generate a base graph plus a valid batch of *new* edges (no duplicates,
-/// no existing edges, no self-loops).
-fn base_and_batch() -> impl Strategy<Value = (u32, Vec<RawEdge>, Vec<RawEdge>)> {
-    (24u32..120).prop_flat_map(|n| {
-        let edge = (0..n, 0..n, 0u32..4);
-        (
-            Just(n),
-            proptest::collection::vec(edge.clone(), 0..160),
-            proptest::collection::vec(edge, 0..160),
-        )
-    })
-}
-
+/// `n` vertex slots labeled `i % 5`. Every seventh slot is a gap that is
+/// never ensured (a dead slot), and every eleventh vertex is deleted with
+/// its edges after the base edges land (a dead slot that once had edges).
 fn build(n: u32, base: &[(u32, u32, u32)]) -> DataGraph {
     let mut g = DataGraph::new();
-    for i in 0..n {
-        g.add_vertex(VLabel(i % 5));
+    for i in (0..n).filter(|i| i % 7 != 3) {
+        g.ensure_vertex(VertexId(i), VLabel(i % 5));
     }
     for &(a, b, l) in base {
-        if a != b {
-            let _ = g.insert_edge(VertexId(a), VertexId(b), ELabel(l));
-        }
+        let _ = g.insert_edge(VertexId(a % n), VertexId(b % n), ELabel(l));
+    }
+    for i in (0..n).filter(|i| i % 11 == 5 && i % 7 != 3) {
+        g.delete_vertex(VertexId(i), true).unwrap();
     }
     g
 }
 
-/// Deduplicate a candidate batch into a valid insert batch for `g`.
-fn valid_inserts(g: &DataGraph, cand: &[(u32, u32, u32)]) -> Vec<(VertexId, VertexId, ELabel)> {
-    let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    for &(a, b, l) in cand {
-        if a == b {
-            continue;
+/// Expand raw ops into an ordered batch. Endpoints range a little past
+/// the slot table, so some ops name unknown vertices; small id ranges make
+/// self-loops and repeated pairs common.
+fn expand(n: u32, raw: &[RawOp]) -> Vec<(EdgeUpdate, bool)> {
+    let mut ops = Vec::new();
+    for &(a, b, l, kind) in raw {
+        let (a, b) = (VertexId(a % (n + 3)), VertexId(b % (n + 3)));
+        let e = EdgeUpdate::new(a, b, ELabel(l));
+        match kind {
+            0 => ops.push((e, true)),
+            1 => ops.push((e, false)),
+            2 => ops.extend([
+                (e, true),
+                (EdgeUpdate::new(b, a, ELabel(l)), false),
+                (EdgeUpdate::new(a, b, ELabel(l + 1)), true),
+            ]),
+            _ => ops.extend([(e, true), (e, true)]),
         }
-        let (x, y) = (a.min(b), a.max(b));
-        if g.has_edge(VertexId(x), VertexId(y)) || !seen.insert((x, y)) {
-            continue;
-        }
-        out.push((VertexId(a), VertexId(b), ELabel(l)));
     }
-    out
+    ops
 }
+
+/// Per-op reference: the flags `insert_edge` / `remove_edge` give.
+fn replay(g: &mut DataGraph, ops: &[(EdgeUpdate, bool)]) -> Vec<bool> {
+    ops.iter()
+        .map(|&(e, insert)| {
+            if insert {
+                g.insert_edge(e.src, e.dst, e.label).unwrap_or(false)
+            } else {
+                g.remove_edge(e.src, e.dst).is_ok_and(|r| r.is_some())
+            }
+        })
+        .collect()
+}
+
+fn sorted_edges<G: GraphShard>(g: &G) -> Vec<(VertexId, VertexId, ELabel)> {
+    let mut e: Vec<_> = GraphShard::edges(g).collect();
+    e.sort_unstable();
+    e
+}
+
+/// Apply `ops` to `g0` at widths 1, 2, 4 and on `ShardedGraph`s with 1, 2,
+/// 4 shards; every run must match the per-op replay exactly.
+fn check_against_replay(g0: &DataGraph, ops: &[(EdgeUpdate, bool)]) -> Result<(), TestCaseError> {
+    let mut seq = g0.clone();
+    let want = replay(&mut seq, ops);
+    let want_edges = sorted_edges(&seq);
+
+    for width in [1, 2, 4] {
+        let mut g = g0.clone();
+        let mut got = Vec::new();
+        g.apply_edge_batch_with(ops, &mut got, width);
+        prop_assert_eq!(&got, &want, "flags at width {}", width);
+        prop_assert_eq!(sorted_edges(&g), want_edges.clone());
+        prop_assert_eq!(g.num_edges(), seq.num_edges());
+        prop_assert_eq!(g.max_edge_label(), seq.max_edge_label());
+        g.check_invariants().unwrap();
+    }
+
+    // A resharded graph's label high-water mark starts from the edges
+    // present, so it moves by the applied inserts only.
+    let applied_max = ops
+        .iter()
+        .zip(&want)
+        .filter(|&(&(_, insert), &did)| insert && did)
+        .map(|(&(e, _), _)| e.label.0)
+        .max()
+        .unwrap_or(0);
+    for shards in [1, 2, 4] {
+        let mut sg = ShardedGraph::from_graph(ShardConfig::hash(shards), g0).unwrap();
+        let want_max = GraphShard::max_edge_label(&sg).max(applied_max);
+        let mut got = Vec::new();
+        GraphShard::apply_edge_batch(&mut sg, ops, &mut got);
+        prop_assert_eq!(&got, &want, "flags on {} shards", shards);
+        prop_assert_eq!(sorted_edges(&sg), want_edges.clone());
+        prop_assert_eq!(GraphShard::num_edges(&sg), seq.num_edges());
+        prop_assert_eq!(GraphShard::max_edge_label(&sg), want_max);
+        sg.check_invariants().unwrap();
+    }
+    Ok(())
+}
+
+/// List length of both hubs in [`hub_runs_straddle_the_merge_threshold`].
+const HUB_DEGREE: u32 = 4096;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
+    /// Mixed ordered batches — inserts, deletes, same-pair churn,
+    /// duplicates, self-loops, dead and unknown endpoints — over a small
+    /// graph with gapped and deleted vertex slots. The old insert-only
+    /// and delete-only cases are kinds 0 and 1 of this input.
     #[test]
-    fn parallel_insert_equals_sequential((n, base, cand) in base_and_batch()) {
+    fn batch_apply_equals_per_op_replay(
+        n in 24u32..90,
+        base in proptest::collection::vec((0u32..90, 0u32..90, 0u32..4), 0..200),
+        raw in proptest::collection::vec((0u32..93, 0u32..93, 0u32..4, 0u32..4), 0..160),
+    ) {
         let g0 = build(n, &base);
-        let batch = valid_inserts(&g0, &cand);
-
-        let mut seq = g0.clone();
-        for &(a, b, l) in &batch {
-            prop_assert!(seq.insert_edge(a, b, l).unwrap());
-        }
-        let mut par = g0.clone();
-        let applied = par.apply_inserts_parallel_with(&batch, 2);
-        prop_assert_eq!(applied, batch.len());
-        prop_assert_eq!(par.num_edges(), seq.num_edges());
-        for (a, b, l) in seq.edges() {
-            prop_assert_eq!(par.edge_label(a, b), Some(l));
-        }
-        par.check_invariants().unwrap();
+        check_against_replay(&g0, &expand(n, &raw))?;
     }
 
+    /// Two hubs hold [`HUB_DEGREE`] neighbors each. One receives a run of
+    /// 255 valid ops, the other 256: with a 4096-long list those straddle
+    /// the splice/merge rule, so one hub splices in place and the other
+    /// takes the merged rebuild, inside one batch. Random small-graph ops
+    /// that avoid the hubs are interleaved.
     #[test]
-    fn parallel_delete_equals_sequential((n, base, _c) in base_and_batch(), pick in any::<u64>()) {
-        let g0 = build(n, &base);
-        // Choose a pseudo-random subset of existing edges to delete.
-        let doomed: Vec<_> = g0
-            .edges()
-            .enumerate()
-            .filter(|(i, _)| (pick >> (i % 64)) & 1 == 1)
-            .map(|(_, e)| e)
-            .collect();
-
-        let mut seq = g0.clone();
-        for &(a, b, _) in &doomed {
-            prop_assert!(seq.remove_edge(a, b).unwrap().is_some());
-        }
-        let mut par = g0.clone();
-        let applied = par.apply_deletes_parallel_with(&doomed, 2);
-        prop_assert_eq!(applied, doomed.len());
-        prop_assert_eq!(par.num_edges(), seq.num_edges());
-        for (a, b, l) in seq.edges() {
-            prop_assert_eq!(par.edge_label(a, b), Some(l));
-        }
-        par.check_invariants().unwrap();
-    }
-
-    /// Regression: the grouped parallel path must not assume dense or
-    /// contiguous vertex ids. Vertices live in gapped slots (stride 7 via
-    /// `ensure_vertex`) and the batch is large enough (>= 64) to take the
-    /// parallel path rather than the small-batch serial fallback.
-    #[test]
-    fn parallel_insert_handles_sparse_ids(seed in any::<u64>()) {
+    fn hub_runs_straddle_the_merge_threshold(
+        seed in any::<u64>(),
+        raw in proptest::collection::vec((0u32..60, 0u32..60, 0u32..4, 0u32..4), 0..120),
+    ) {
+        let leaves = 2 + HUB_DEGREE;
+        let fresh = leaves + 600;
         let mut g0 = DataGraph::new();
-        let ids: Vec<VertexId> = (0..48u32).map(|i| VertexId(3 + i * 7)).collect();
-        for (i, &v) in ids.iter().enumerate() {
-            g0.ensure_vertex(v, VLabel(i as u32 % 5));
+        for i in 0..fresh {
+            g0.ensure_vertex(VertexId(i), VLabel(if i < leaves { 1 } else { i % 5 }));
         }
-        // >= 64 distinct pairs over the sparse id set, pseudo-randomly
-        // spread so endpoint groups land on many different slots.
-        let mut batch = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        let mut x = seed | 1;
-        while batch.len() < 80 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let a = ids[(x >> 33) as usize % ids.len()];
-            let b = ids[(x >> 13) as usize % ids.len()];
-            let (lo, hi) = (a.0.min(b.0), a.0.max(b.0));
-            if a == b || !seen.insert((lo, hi)) {
-                continue;
+        for hub in 0..2 {
+            for leaf in 2..leaves {
+                g0.insert_edge(VertexId(hub), VertexId(leaf), ELabel(hub)).unwrap();
             }
-            batch.push((a, b, ELabel((x % 4) as u32)));
         }
 
-        let mut seq = g0.clone();
-        for &(a, b, l) in &batch {
-            prop_assert!(seq.insert_edge(a, b, l).unwrap());
+        let mut x = seed | 1;
+        let mut next = move |m: u32| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) as u32 % m
+        };
+        let mut hub_ops = Vec::new();
+        for (hub, k) in [(0u32, 255usize), (1, 256)] {
+            let h = VertexId(hub);
+            let mut run = Vec::new();
+            while run.len() < k {
+                // Each op names the hub and a live non-hub vertex, so every
+                // one lands in the hub's run.
+                let other = VertexId(2 + next(fresh - 2));
+                let l = ELabel(next(4));
+                match next(4) {
+                    0 | 1 => run.push((EdgeUpdate::new(h, other, l), true)),
+                    2 => run.push((EdgeUpdate::new(other, h, l), false)),
+                    _ => run.extend([
+                        (EdgeUpdate::new(h, other, l), true),
+                        (EdgeUpdate::new(other, h, l), false),
+                        (EdgeUpdate::new(h, other, ELabel(l.0 + 1)), true),
+                    ]),
+                }
+            }
+            run.truncate(k);
+            hub_ops.push(run);
         }
-        let mut par = g0.clone();
-        let applied = par.apply_inserts_parallel_with(&batch, 2);
-        prop_assert_eq!(applied, batch.len());
-        prop_assert_eq!(par.num_edges(), seq.num_edges());
-        for (a, b, l) in seq.edges() {
-            prop_assert_eq!(par.edge_label(a, b), Some(l));
+
+        // Interleave both hub runs with small-graph ops on the fresh ids.
+        let small: Vec<_> = expand(600, &raw)
+            .into_iter()
+            .map(|(e, ins)| {
+                let shift = |v: VertexId| VertexId(v.0 + leaves);
+                (EdgeUpdate::new(shift(e.src), shift(e.dst), e.label), ins)
+            })
+            .collect();
+        let mut streams = [hub_ops[0].iter(), hub_ops[1].iter(), small.iter()];
+        let mut ops = Vec::new();
+        while ops.len() < 511 + small.len() {
+            if let Some(&op) = streams[next(3) as usize].next() {
+                ops.push(op);
+            }
         }
-        par.check_invariants().unwrap();
+        check_against_replay(&g0, &ops)?;
     }
 
     /// Mixed interleavings of single-edge ops keep every public counter

@@ -35,7 +35,7 @@
 //! merges on read, mirroring the sharded `MetricsRegistry` design.
 //!
 //! This file is the *only* place in the workspace's library crates where
-//! `std::net` may appear (`csm-lint` rule `std-net-confined`): sockets
+//! `std::net` may appear (`csm-analyze` rule `std-net-confined`): sockets
 //! have no business near the matching kernel or the executors.
 
 use crate::queue::AdmissionQueue;

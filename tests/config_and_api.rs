@@ -1,11 +1,8 @@
 //! API-surface contracts: builder-produced configurations are always
 //! valid, the [`CsmError::ConfigInvalid`] taxonomy names the offending
-//! field, and [`ParaCosm::run_stream`] is a drop-in replacement for the
-//! deprecated `process_stream_observed` wrapper.
+//! field, and [`ParaCosm::run_stream`] is a drop-in for
+//! [`ParaCosm::process_stream`].
 
-// The only sanctioned use of the deprecated wrapper is the scoped
-// differential assertion below; everything else in test builds is held to
-// the non-deprecated surface.
 #![deny(deprecated)]
 
 use paracosm::algos::testing;
@@ -82,11 +79,10 @@ proptest! {
     }
 }
 
-/// `run_stream` with a [`NoopObserver`], `process_stream`, and the
-/// deprecated `process_stream_observed` wrapper all produce identical
+/// `run_stream` with an observer and `process_stream` produce identical
 /// outcomes and identical final statistics over the same workload.
 #[test]
-fn run_stream_is_a_drop_in_for_the_deprecated_wrapper() {
+fn run_stream_is_a_drop_in_for_process_stream() {
     for seed in [5u64, 19, 101] {
         let (g, stream) = testing::random_workload(seed, 20, 2, 1, 30, 40, 0.3);
         let Some(q) = testing::random_walk_query(&g, seed ^ 0x5EED, 3) else {
@@ -114,17 +110,10 @@ fn run_stream_is_a_drop_in_for_the_deprecated_wrapper() {
         }
         let b = observed.run_stream(&stream, &mut Count(&mut seen)).unwrap();
 
-        let mut legacy = mk();
-        #[allow(deprecated)]
-        let c = legacy
-            .process_stream_observed(&stream, &mut NoopObserver)
-            .unwrap();
-
         assert_eq!((a.positives, a.negatives), (b.positives, b.negatives));
-        assert_eq!((a.positives, a.negatives), (c.positives, c.negatives));
         assert_eq!(seen, stream.len() as u64, "observer fires once per update");
         assert_eq!(plain.stats().positives, observed.stats().positives);
-        assert_eq!(plain.stats().negatives, legacy.stats().negatives);
+        assert_eq!(plain.stats().negatives, observed.stats().negatives);
         assert!(plain.stats().classifier.is_consistent());
     }
 }

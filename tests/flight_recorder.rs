@@ -6,7 +6,7 @@
 use paracosm::algos::testing;
 use paracosm::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 fn triangle() -> QueryGraph {
@@ -169,19 +169,27 @@ fn concurrent_writers_produce_well_formed_spans() {
 /// thousands of wraps while a reader snapshots continuously. Every event
 /// a snapshot yields has internally consistent payload words (the writer
 /// stamps `span = arg + 1 = seq + 1`), so a torn copy can never survive
-/// validation.
+/// validation. A handshake pins the reader's first snapshot to after every
+/// writer has filled its ring and before any writer finishes, so the
+/// reader always observes events mid-stream, whatever the scheduling.
 #[test]
 fn ring_wrap_never_yields_torn_events() {
     const EVENTS: u64 = 40_000;
+    const CAPACITY: u64 = 8;
     let f = Arc::new(FlightRecorder::new(FlightConfig {
-        capacity: 8,
+        capacity: CAPACITY as usize,
         session_shards: 2,
     }));
     let done = Arc::new(AtomicBool::new(false));
+    // Writers park between the two barriers once their rings are full;
+    // the reader takes its first snapshot while they are parked.
+    let full = Arc::new(Barrier::new(3));
+    let resume = Arc::new(Barrier::new(3));
 
     let writers: Vec<_> = (0..2u32)
         .map(|sid| {
             let f = Arc::clone(&f);
+            let (full, resume) = (Arc::clone(&full), Arc::clone(&resume));
             std::thread::spawn(move || {
                 let shard = f.session_shard(u64::from(sid));
                 for j in 0..EVENTS {
@@ -198,6 +206,10 @@ fn ring_wrap_never_yields_torn_events() {
                         j,
                         j,
                     );
+                    if j + 1 == CAPACITY {
+                        full.wait();
+                        resume.wait();
+                    }
                 }
             })
         })
@@ -207,9 +219,8 @@ fn ring_wrap_never_yields_torn_events() {
         let f = Arc::clone(&f);
         let done = Arc::clone(&done);
         std::thread::spawn(move || {
-            let mut seen = 0u64;
-            while !done.load(Ordering::Relaxed) {
-                let snap = f.snapshot();
+            let validate = |snap: &FlightSnapshot| {
+                let mut seen = 0u64;
                 for evs in &snap.shards[1..] {
                     assert!(evs.len() <= 8, "a shard can never exceed capacity");
                     for e in evs {
@@ -223,6 +234,13 @@ fn ring_wrap_never_yields_torn_events() {
                         assert!(w[0].seq < w[1].seq);
                     }
                 }
+                seen
+            };
+            full.wait();
+            let mut seen = validate(&f.snapshot());
+            resume.wait();
+            while !done.load(Ordering::Relaxed) {
+                seen += validate(&f.snapshot());
             }
             seen
         })
