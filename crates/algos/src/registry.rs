@@ -51,7 +51,7 @@ impl AlgoKind {
     }
 
     /// Build (offline stage) an instance for `(g, q)` — any
-    /// [`GraphShard`] backend, monolithic or sharded.
+    /// [`GraphShard`] backend.
     pub fn build<G: GraphShard>(self, g: &G, q: &QueryGraph) -> AnyAlgorithm {
         let mut a = match self {
             AlgoKind::GraphFlow => AnyAlgorithm::GraphFlow(GraphFlow::new()),

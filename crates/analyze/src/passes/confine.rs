@@ -30,10 +30,6 @@ const SUBPATTERN_TYPES: [&str; 2] = ["EdgePatternKey", "TwoPathKey"];
 /// Hot-path files for the trace-local-only rule.
 const TRACE_HOT_FILES: [&str; 2] = ["crates/core/src/kernel.rs", "crates/core/src/inner.rs"];
 
-/// The only file allowed to do shard-id arithmetic: `shard_index_for`
-/// is the partition function, and exactly one may exist.
-const SHARD_ROUTING_ALLOWED: &str = "crates/graph/src/shard.rs";
-
 use TokKind::{Ident as I, Punct as P};
 
 const FORBID_UNSAFE: [Pat; 8] = [
@@ -95,7 +91,7 @@ pub fn run(files: &[SourceFile], cfg: &Config, diags: &mut Vec<Diagnostic>) -> U
                         "thread-spawn-confined",
                         format!(
                             "raw thread::{} outside par.rs/inner.rs — use \
-                             csm_graph::par::run_jobs or map_slice ({})",
+                             csm_graph::par::run_jobs or map_slice_with ({})",
                             toks[i + 2].text,
                             file.snippet(t.line)
                         ),
@@ -150,24 +146,6 @@ pub fn run(files: &[SourceFile], cfg: &Config, diags: &mut Vec<Diagnostic>) -> U
                         ),
                     ));
                 }
-            }
-
-            // shard-routing-confined: the partition function may only be
-            // named (defined *or* called) inside shard.rs — everything
-            // else routes through `GraphShard::shard_of`, so vertex→shard
-            // arithmetic can never fork.
-            if t.is_ident("shard_index_for") && rel != SHARD_ROUTING_ALLOWED {
-                diags.push(Diagnostic::new(
-                    rel,
-                    t.line,
-                    "shard-routing-confined",
-                    format!(
-                        "shard-id arithmetic outside {SHARD_ROUTING_ALLOWED} — \
-                         route through GraphShard::shard_of; the partition \
-                         function must stay unique ({})",
-                        file.snippet(t.line)
-                    ),
-                ));
             }
 
             // trace-local-only

@@ -19,14 +19,13 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Every rule id `csm-analyze` can emit.
-const ALL_RULES: [&str; 15] = [
+const ALL_RULES: [&str; 14] = [
     "ordering-allowlist",
     "seqcst-denied",
     "seqlock-protocol",
     "thread-spawn-confined",
     "std-net-confined",
     "subpattern-key-confined",
-    "shard-routing-confined",
     "kernel-hot-loop",
     "flight-hot-path",
     "profile-hot-path",

@@ -3,9 +3,9 @@
 //! returns printable [`crate::report::Table`]s.
 
 pub mod breakdown;
+pub mod ingest;
 pub mod observe;
 pub mod profile;
-pub mod shards;
 pub mod shared_sessions;
 pub mod singlethread;
 pub mod speedups;

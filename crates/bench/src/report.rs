@@ -86,8 +86,8 @@ impl Table {
 pub enum Artifact {
     /// The `shared` multi-session sweep (`BENCH_7.json`).
     Shared(BenchArtifact),
-    /// The `shards` multi-writer ingest sweep (`BENCH_9.json`).
-    Shards(ShardsArtifact),
+    /// The `ingest` batched-drain sweep (`BENCH_9.json`).
+    Ingest(IngestArtifact),
     /// The `profile` profiler-overhead sweep (`BENCH_10.json`).
     Profile(ProfileArtifact),
 }
@@ -97,7 +97,7 @@ impl Artifact {
     pub fn to_json(&self) -> String {
         match self {
             Artifact::Shared(a) => a.to_json(),
-            Artifact::Shards(a) => a.to_json(),
+            Artifact::Ingest(a) => a.to_json(),
             Artifact::Profile(a) => a.to_json(),
         }
     }
@@ -192,36 +192,36 @@ impl BenchArtifact {
     }
 }
 
-/// One measured cell of the `shards` ingest sweep. Absolute times are
-/// context; the gate compares `speedup` (this cell's update-apply rate
-/// over the same workload's 1-shard baseline) and the deterministic
-/// accounting fields, which must match a baseline artifact exactly.
+/// One measured cell of the `ingest` sweep. Absolute times are context;
+/// the gate compares `speedup` (the same workload's per-op time over this
+/// cell's) and the deterministic counters, which must match a baseline
+/// artifact exactly.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ShardCell {
+pub struct IngestCell {
     /// Workload name (`dense` hub-heavy or `spread` uniform).
     pub workload: String,
-    /// Partitioner (`hash` or `range`); the 1-shard baseline is `hash`.
-    pub partitioner: String,
-    /// Shard count.
-    pub shards: usize,
-    /// Best-of-reps wall clock for the pure-ingest drain, nanoseconds.
+    /// Drain arm: `per-op` (one `drain()` per update) or `batched` (one
+    /// `drain()` for the whole stream).
+    pub arm: String,
+    /// Best-of-reps wall clock for the pure-ingest submit + drain,
+    /// nanoseconds.
     pub apply_ns: u64,
-    /// Same-workload 1-shard `apply_ns` divided by this cell's.
+    /// Same-workload per-op `apply_ns` divided by this cell's.
     pub speedup: f64,
     /// This cell's spread `(max-min)/min` across reps, percent.
     pub noise_pct: f64,
-    /// Half-edge ops routed through shard appliers (deterministic).
-    pub applied_ops: u64,
     /// Updates processed by the timed service run (deterministic).
     pub processed: u64,
-    /// Edges in the graph after the stream (deterministic, and equal to
-    /// the monolithic reference — asserted in-cell before recording).
+    /// Structural no-ops among them (deterministic).
+    pub noops: u64,
+    /// Edges in the graph after the stream (deterministic, and equal
+    /// across arms — asserted in-cell before recording).
     pub edges_final: u64,
 }
 
-/// The `shards` experiment's schema-versioned artifact (`BENCH_9.json`).
+/// The `ingest` experiment's schema-versioned artifact (`BENCH_9.json`).
 #[derive(Clone, Debug, PartialEq)]
-pub struct ShardsArtifact {
+pub struct IngestArtifact {
     /// Base RNG seed the sweep ran with.
     pub seed: u64,
     /// Updates in the ingest stream.
@@ -231,17 +231,17 @@ pub struct ShardsArtifact {
     /// Worst per-cell spread across reps, percent.
     pub noise_pct: f64,
     /// The measured cells.
-    pub cells: Vec<ShardCell>,
+    pub cells: Vec<IngestCell>,
 }
 
-impl ShardsArtifact {
+impl IngestArtifact {
     /// Render as a single JSON object (`schema_version` 1), hand-rolled
     /// like every other serializer in the workspace.
     pub fn to_json(&self) -> String {
         let mut o = String::with_capacity(1024);
         let _ = write!(
             o,
-            "{{\"schema_version\":1,\"experiment\":\"shards\",\"seed\":{},\
+            "{{\"schema_version\":1,\"experiment\":\"ingest\",\"seed\":{},\
              \"stream_len\":{},\"reps\":{},\"noise_pct\":{:.2},\"cells\":[",
             self.seed, self.stream_len, self.reps, self.noise_pct
         );
@@ -251,17 +251,16 @@ impl ShardsArtifact {
             }
             let _ = write!(
                 o,
-                "{{\"workload\":\"{}\",\"partitioner\":\"{}\",\"shards\":{},\
-                 \"apply_ns\":{},\"speedup\":{:.4},\"noise_pct\":{:.2},\
-                 \"applied_ops\":{},\"processed\":{},\"edges_final\":{}}}",
+                "{{\"workload\":\"{}\",\"arm\":\"{}\",\"apply_ns\":{},\
+                 \"speedup\":{:.4},\"noise_pct\":{:.2},\"processed\":{},\
+                 \"noops\":{},\"edges_final\":{}}}",
                 c.workload,
-                c.partitioner,
-                c.shards,
+                c.arm,
                 c.apply_ns,
                 c.speedup,
                 c.noise_pct,
-                c.applied_ops,
                 c.processed,
+                c.noops,
                 c.edges_final
             );
         }
@@ -397,26 +396,26 @@ mod tests {
     }
 
     #[test]
-    fn shards_artifact_json_is_schema_versioned_and_balanced() {
-        let a = ShardsArtifact {
+    fn ingest_artifact_json_is_schema_versioned_and_balanced() {
+        let a = IngestArtifact {
             seed: 1,
             stream_len: 4000,
             reps: 5,
             noise_pct: 2.5,
-            cells: vec![ShardCell {
+            cells: vec![IngestCell {
                 workload: "dense".into(),
-                partitioner: "hash".into(),
-                shards: 4,
+                arm: "batched".into(),
                 apply_ns: 1_000_000,
                 speedup: 3.125,
                 noise_pct: 1.0,
-                applied_ops: 8000,
                 processed: 4000,
+                noops: 0,
                 edges_final: 9000,
             }],
         };
-        let j = Artifact::Shards(a).to_json();
-        assert!(j.starts_with("{\"schema_version\":1,\"experiment\":\"shards\""));
+        let j = Artifact::Ingest(a).to_json();
+        assert!(j.starts_with("{\"schema_version\":1,\"experiment\":\"ingest\""));
+        assert!(j.contains("\"arm\":\"batched\""));
         assert!(j.contains("\"workload\":\"dense\""));
         assert!(j.contains("\"speedup\":3.1250"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());

@@ -66,14 +66,6 @@ pub enum CsmError {
     /// The service has been shut down (or is shutting down) and accepts
     /// no further updates or session changes.
     ServiceClosed,
-    /// A shard configuration ([`csm_graph::ShardConfig`]) failed
-    /// validation at construction — zero shards, or overlapping /
-    /// non-contiguous ranges. Mirrors [`CsmError::ConfigInvalid`];
-    /// `field` names the offending config field.
-    ShardConfigInvalid {
-        /// The offending field (`"shards"`, `"ranges"`).
-        field: &'static str,
-    },
 }
 
 impl fmt::Display for CsmError {
@@ -91,9 +83,6 @@ impl fmt::Display for CsmError {
             }
             CsmError::SessionNotFound(id) => write!(f, "session {id} not found"),
             CsmError::ServiceClosed => write!(f, "service is shut down"),
-            CsmError::ShardConfigInvalid { field } => {
-                write!(f, "invalid shard config: {field}")
-            }
         }
     }
 }
@@ -109,12 +98,7 @@ impl std::error::Error for CsmError {
 
 impl From<GraphError> for CsmError {
     fn from(e: GraphError) -> Self {
-        match e {
-            // Config-shaped graph errors surface as their dedicated
-            // variant so callers can match them like `ConfigInvalid`.
-            GraphError::ShardConfig { field } => CsmError::ShardConfigInvalid { field },
-            other => CsmError::Graph(other),
-        }
+        CsmError::Graph(e)
     }
 }
 

@@ -30,7 +30,7 @@
 //!    vertex *after*.
 //!
 //! Because contributions are per-vertex and the touch set is a set, the
-//! protocol is order-independent and exact under batched multi-writer
+//! protocol is order-independent and exact under batched
 //! application: subtract all, apply in any order, add all. The catalog
 //! never reads edge state mid-batch. Cost per touched vertex is
 //! `O(#groups²)` (group pairs), independent of degree — the partition

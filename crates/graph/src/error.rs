@@ -24,13 +24,6 @@ pub enum GraphError {
     },
     /// Underlying I/O failure while reading or writing a graph file.
     Io(String),
-    /// A [`crate::shard::ShardConfig`] failed validation (zero shards,
-    /// overlapping or non-contiguous ranges); `field` names the offending
-    /// config field.
-    ShardConfig {
-        /// The config field that failed validation (`"shards"`, `"ranges"`).
-        field: &'static str,
-    },
 }
 
 impl fmt::Display for GraphError {
@@ -45,9 +38,6 @@ impl fmt::Display for GraphError {
                 write!(f, "parse error at line {line}: {message}")
             }
             GraphError::Io(e) => write!(f, "io error: {e}"),
-            GraphError::ShardConfig { field } => {
-                write!(f, "invalid shard config: {field}")
-            }
         }
     }
 }

@@ -16,8 +16,8 @@
 //!   enumeration is data-race-free by construction (no locks on the hot
 //!   path);
 //! * every batched edge write — the batch executor's safe updates
-//!   (inter-update parallelism, paper §4.2), the shard appliers, bulk
-//!   loads — goes through one ordered applier,
+//!   (inter-update parallelism, paper §4.2), the service's batched drain,
+//!   bulk loads — goes through one ordered applier,
 //!   [`DataGraph::apply_edge_batch_with`]: it groups half-ops per endpoint
 //!   once, hands each scoped-thread task a disjoint sub-slice of the
 //!   adjacency table (disjoint `&mut` borrows, no locks, no unsafe), and
@@ -338,9 +338,9 @@ impl AdjList {
 
 /// One endpoint-local half of an undirected edge operation. It carries the
 /// neighbor's label so the partition index can be maintained without
-/// consulting (possibly remote) vertex metadata.
+/// consulting vertex metadata from inside an applier job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum HalfOp {
+enum HalfOp {
     /// Add neighbor `n` (labeled `nl`) over edge label `el`.
     Insert {
         /// Neighbor vertex.
@@ -361,14 +361,14 @@ pub(crate) enum HalfOp {
 
 impl HalfOp {
     #[inline]
-    pub(crate) fn neighbor(self) -> VertexId {
+    fn neighbor(self) -> VertexId {
         match self {
             HalfOp::Insert { n, .. } | HalfOp::Remove { n, .. } => n,
         }
     }
 
     #[inline]
-    pub(crate) fn neighbor_label(self) -> VLabel {
+    fn neighbor_label(self) -> VLabel {
         match self {
             HalfOp::Insert { nl, .. } | HalfOp::Remove { nl, .. } => nl,
         }
@@ -377,9 +377,9 @@ impl HalfOp {
 
 /// A half-op addressed to endpoint `v`: `(tag, v, op)`. The tag is
 /// `op index << 1 | is_src_half` — monotone in batch order, so sorting by
-/// `(v, tag)` keeps every endpoint's run FIFO, and [`commit_verdicts`]
+/// `(v, tag)` keeps every endpoint's run FIFO, and `commit_verdicts`
 /// knows which half's verdict to keep.
-pub(crate) type Tagged = (u32, VertexId, HalfOp);
+type Tagged = (u32, VertexId, HalfOp);
 
 /// Run length below which [`AdjList::apply_run`] always splices.
 const MERGE_MIN_RUN: usize = 32;
@@ -398,83 +398,6 @@ const MERGE_MIN_WORK: usize = 1 << 20;
 #[inline]
 fn merge_pays(k: usize, len: usize) -> bool {
     k >= MERGE_MIN_RUN && k.saturating_mul(len) >= MERGE_MIN_WORK
-}
-
-/// Split an ordered edge batch (`true` = insert) into [`Tagged`] half-ops,
-/// one per endpoint of each valid op, in batch order. `label_of` answers
-/// `Some(label)` for alive vertices. Invalid ops (self-loop, dead or
-/// unknown endpoint) emit nothing, so their flag stays `false` — what
-/// `insert_edge(..).unwrap_or(false)` gives.
-pub(crate) fn split_edge_batch(
-    ops: &[(EdgeUpdate, bool)],
-    label_of: impl Fn(VertexId) -> Option<VLabel>,
-) -> Vec<Tagged> {
-    assert!(ops.len() < 1 << 31, "edge batch too long for u32 tags");
-    let mut half = Vec::with_capacity(2 * ops.len());
-    for (i, &(e, insert)) in ops.iter().enumerate() {
-        let (a, b) = (e.src, e.dst);
-        let (Some(la), Some(lb)) = (label_of(a), label_of(b)) else {
-            continue;
-        };
-        if a == b {
-            continue;
-        }
-        let tag = (i as u32) << 1;
-        let (to_b, to_a) = if insert {
-            let el = e.label;
-            (
-                HalfOp::Insert { n: b, el, nl: lb },
-                HalfOp::Insert { n: a, el, nl: la },
-            )
-        } else {
-            (
-                HalfOp::Remove { n: b, nl: lb },
-                HalfOp::Remove { n: a, nl: la },
-            )
-        };
-        half.push((tag | 1, a, to_b));
-        half.push((tag, b, to_a));
-    }
-    half
-}
-
-/// Fold half-op verdicts `(tag, changed)` into one `changed` flag per op
-/// of `ops` (appended to `changed`) and into the edge accounting:
-/// `n_edges` moves once per applied op and `max_elabel` takes applied
-/// inserts only — both exactly as applying each op in turn would leave
-/// them. The flag is the src half's verdict; the dst half must agree.
-pub(crate) fn commit_verdicts(
-    ops: &[(EdgeUpdate, bool)],
-    verdicts: impl Iterator<Item = (u32, bool)> + Clone,
-    changed: &mut Vec<bool>,
-    n_edges: &mut usize,
-    max_elabel: &mut u32,
-) {
-    let base = changed.len();
-    changed.resize(base + ops.len(), false);
-    let flags = &mut changed[base..];
-    for (tag, did) in verdicts.clone() {
-        if tag & 1 == 1 {
-            flags[(tag >> 1) as usize] = did;
-        }
-    }
-    #[cfg(debug_assertions)]
-    for (tag, did) in verdicts {
-        debug_assert!(
-            tag & 1 == 1 || flags[(tag >> 1) as usize] == did,
-            "half-edge verdicts diverged"
-        );
-    }
-    for (&(e, insert), &did) in ops.iter().zip(flags.iter()) {
-        if did {
-            if insert {
-                *n_edges += 1;
-                *max_elabel = (*max_elabel).max(e.label.0);
-            } else {
-                *n_edges -= 1;
-            }
-        }
-    }
 }
 
 /// The dynamic, labeled, undirected data graph `G = (V, E, L)`.
@@ -861,24 +784,92 @@ impl DataGraph {
         changed: &mut Vec<bool>,
         nthreads: usize,
     ) {
-        let mut half = split_edge_batch(ops, |v| self.is_alive(v).then(|| self.labels[v.index()]));
+        let mut half = self.split_edge_batch(ops);
         let did = self.apply_half_ops(&mut half, nthreads);
-        let verdicts = half.iter().zip(did).map(|(&(tag, _, _), d)| (tag, d));
-        commit_verdicts(
-            ops,
-            verdicts,
-            changed,
-            &mut self.n_edges,
-            &mut self.max_elabel,
-        );
+        self.commit_verdicts(ops, &half, &did, changed);
+    }
+
+    /// Split an ordered edge batch (`true` = insert) into [`Tagged`]
+    /// half-ops, one per endpoint of each valid op, in batch order. Invalid
+    /// ops (self-loop, dead or unknown endpoint) emit nothing, so their
+    /// flag stays `false` — what `insert_edge(..).unwrap_or(false)` gives.
+    fn split_edge_batch(&self, ops: &[(EdgeUpdate, bool)]) -> Vec<Tagged> {
+        assert!(ops.len() < 1 << 31, "edge batch too long for u32 tags");
+        let label_of = |v: VertexId| self.is_alive(v).then(|| self.labels[v.index()]);
+        let mut half = Vec::with_capacity(2 * ops.len());
+        for (i, &(e, insert)) in ops.iter().enumerate() {
+            let (a, b) = (e.src, e.dst);
+            let (Some(la), Some(lb)) = (label_of(a), label_of(b)) else {
+                continue;
+            };
+            if a == b {
+                continue;
+            }
+            let tag = (i as u32) << 1;
+            let (to_b, to_a) = if insert {
+                let el = e.label;
+                (
+                    HalfOp::Insert { n: b, el, nl: lb },
+                    HalfOp::Insert { n: a, el, nl: la },
+                )
+            } else {
+                (
+                    HalfOp::Remove { n: b, nl: lb },
+                    HalfOp::Remove { n: a, nl: la },
+                )
+            };
+            half.push((tag | 1, a, to_b));
+            half.push((tag, b, to_a));
+        }
+        half
+    }
+
+    /// Fold the half-op verdicts `did` (aligned with `half`) into one
+    /// `changed` flag per op of `ops` (appended to `changed`) and into the
+    /// edge accounting: `n_edges` moves once per applied op and
+    /// `max_elabel` takes applied inserts only — both exactly as applying
+    /// each op in turn would leave them. The flag is the src half's
+    /// verdict; the dst half must agree.
+    fn commit_verdicts(
+        &mut self,
+        ops: &[(EdgeUpdate, bool)],
+        half: &[Tagged],
+        did: &[bool],
+        changed: &mut Vec<bool>,
+    ) {
+        let base = changed.len();
+        changed.resize(base + ops.len(), false);
+        let flags = &mut changed[base..];
+        let verdicts = || half.iter().zip(did).map(|(&(tag, _, _), &d)| (tag, d));
+        for (tag, d) in verdicts() {
+            if tag & 1 == 1 {
+                flags[(tag >> 1) as usize] = d;
+            }
+        }
+        #[cfg(debug_assertions)]
+        for (tag, d) in verdicts() {
+            debug_assert!(
+                tag & 1 == 1 || flags[(tag >> 1) as usize] == d,
+                "half-edge verdicts diverged"
+            );
+        }
+        for (&(e, insert), &d) in ops.iter().zip(flags.iter()) {
+            if d {
+                if insert {
+                    self.n_edges += 1;
+                    self.max_elabel = self.max_elabel.max(e.label.0);
+                } else {
+                    self.n_edges -= 1;
+                }
+            }
+        }
     }
 
     /// Apply tagged half-ops to their endpoints' lists, returning one
     /// `changed` flag per op of `ops` as sorted on return (by endpoint,
-    /// then tag). Every endpoint must have a slot; its neighbors need not
-    /// (a shard's neighbor may live on another shard). Vertex and edge
-    /// counts are the caller's to keep.
-    pub(crate) fn apply_half_ops(&mut self, ops: &mut [Tagged], nthreads: usize) -> Vec<bool> {
+    /// then tag). Every endpoint must be alive. Vertex and edge counts are
+    /// the caller's to keep.
+    fn apply_half_ops(&mut self, ops: &mut [Tagged], nthreads: usize) -> Vec<bool> {
         ops.sort_unstable_by_key(|&(tag, v, _)| (v, tag));
         let runs: Vec<&[Tagged]> = ops.chunk_by(|x, y| x.1 == y.1).collect();
         if runs.is_empty() {
@@ -913,28 +904,6 @@ impl DataGraph {
             });
         }
         par::run_jobs(jobs).concat()
-    }
-
-    /// Insert the `v → n` **half** of an undirected edge, bypassing alive
-    /// checks for `n` (which may be owned by another shard). The caller
-    /// ([`crate::shard::ShardedGraph`]) guarantees `v` is an owned, alive
-    /// vertex with a slot, supplies `n`'s label from router metadata, and
-    /// installs the mirror half on `n`'s owner. Local `n_edges` is *not*
-    /// touched — the router does global edge accounting.
-    pub(crate) fn half_insert(&mut self, v: VertexId, n: VertexId, el: ELabel, nl: VLabel) -> bool {
-        self.adj[v.index()].insert(n, el, nl)
-    }
-
-    /// Remove the `v → n` half-edge. See [`DataGraph::half_insert`].
-    pub(crate) fn half_remove(&mut self, v: VertexId, n: VertexId, nl: VLabel) -> Option<ELabel> {
-        self.adj[v.index()].remove(n, nl)
-    }
-
-    /// Probe `v`'s adjacency for neighbor `n` under label `nl` without any
-    /// aliveness checks — the router's edge probe, where `n` may have no
-    /// local slot (its owner is another shard).
-    pub(crate) fn find_in_adj(&self, v: VertexId, n: VertexId, nl: VLabel) -> Option<ELabel> {
-        self.adj.get(v.index()).and_then(|l| l.find(n, nl))
     }
 
     #[inline]

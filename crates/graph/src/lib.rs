@@ -37,6 +37,6 @@ pub use error::{GraphError, Result};
 pub use graph::DataGraph;
 pub use ids::{ELabel, QVertexId, VLabel, VertexId};
 pub use query::{EdgePatternKey, QEdge, QueryGraph, TwoPathKey, MAX_QUERY_VERTICES};
-pub use shard::{GraphShard, MemShard, Partition, ShardConfig, ShardStats, ShardedGraph};
+pub use shard::{GraphShard, ShardStats};
 pub use stats::GraphStats;
 pub use update::{EdgeUpdate, Update, UpdateStream};

@@ -8,35 +8,8 @@
 //! enough that static partitioning matches a work-stealing pool, and a
 //! contiguous split preserves output ordering for free.
 
-/// Default worker count for data-parallel loops (≥ 1): the
-/// `PARACOSM_THREADS` environment variable when set (cached after the
-/// first read), else `available_parallelism`. Callers that know the
-/// configured engine width should pass it explicitly to the `_with`
-/// variants instead — this is only the fallback for entry points with no
-/// config in scope.
-pub fn threads() -> usize {
-    static OVERRIDE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    let env = *OVERRIDE.get_or_init(|| {
-        std::env::var("PARACOSM_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .filter(|&n: &usize| n >= 1)
-    });
-    env.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
 /// Inputs per thread below which spawning costs more than it saves.
 const MIN_CHUNK: usize = 16;
-
-/// Parallel ordered map over [`threads`] workers — see
-/// [`map_slice_with`] for the explicit-width variant engines should use.
-pub fn map_slice<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    map_slice_with(items, threads(), f)
-}
 
 /// Parallel ordered map: `items.iter().map(f).collect()`, fanned out over
 /// at most `nthreads` scoped threads in contiguous chunks (order
@@ -94,31 +67,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn map_slice_preserves_order() {
+    fn map_slice_with_preserves_order_at_any_width() {
         let input: Vec<u64> = (0..10_000).collect();
-        let out = map_slice(&input, |&x| x * 3);
-        assert_eq!(out, input.iter().map(|&x| x * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn map_slice_small_input() {
-        let out = map_slice(&[1u32, 2, 3], |&x| x + 1);
-        assert_eq!(out, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn map_slice_empty() {
-        let out: Vec<u32> = map_slice(&[], |x: &u32| *x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn map_slice_with_explicit_width() {
-        let input: Vec<u64> = (0..1000).collect();
         for nthreads in [0, 1, 2, 7] {
-            let out = map_slice_with(&input, nthreads, |&x| x + 1);
-            assert_eq!(out, input.iter().map(|&x| x + 1).collect::<Vec<_>>());
+            let out = map_slice_with(&input, nthreads, |&x| x * 3);
+            assert_eq!(out, input.iter().map(|&x| x * 3).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn map_slice_with_small_and_empty_inputs() {
+        assert_eq!(map_slice_with(&[1u32, 2, 3], 4, |&x| x + 1), vec![2, 3, 4]);
+        let out: Vec<u32> = map_slice_with(&[], 4, |x: &u32| *x);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -1,11 +1,8 @@
 //! Property tests: the ordered edge-batch applier
 //! (`DataGraph::apply_edge_batch_with`) must be observationally identical
-//! to applying each op in turn — at every worker width, and on the
-//! `ShardedGraph` appliers at every shard count.
+//! to applying each op in turn, at every worker width.
 
-use csm_graph::{
-    DataGraph, ELabel, EdgeUpdate, GraphShard, ShardConfig, ShardedGraph, VLabel, VertexId,
-};
+use csm_graph::{DataGraph, ELabel, EdgeUpdate, VLabel, VertexId};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -66,14 +63,14 @@ fn replay(g: &mut DataGraph, ops: &[(EdgeUpdate, bool)]) -> Vec<bool> {
         .collect()
 }
 
-fn sorted_edges<G: GraphShard>(g: &G) -> Vec<(VertexId, VertexId, ELabel)> {
-    let mut e: Vec<_> = GraphShard::edges(g).collect();
+fn sorted_edges(g: &DataGraph) -> Vec<(VertexId, VertexId, ELabel)> {
+    let mut e: Vec<_> = g.edges().collect();
     e.sort_unstable();
     e
 }
 
-/// Apply `ops` to `g0` at widths 1, 2, 4 and on `ShardedGraph`s with 1, 2,
-/// 4 shards; every run must match the per-op replay exactly.
+/// Apply `ops` to `g0` at widths 1, 2 and 4; every run must match the
+/// per-op replay exactly.
 fn check_against_replay(g0: &DataGraph, ops: &[(EdgeUpdate, bool)]) -> Result<(), TestCaseError> {
     let mut seq = g0.clone();
     let want = replay(&mut seq, ops);
@@ -90,26 +87,6 @@ fn check_against_replay(g0: &DataGraph, ops: &[(EdgeUpdate, bool)]) -> Result<()
         g.check_invariants().unwrap();
     }
 
-    // A resharded graph's label high-water mark starts from the edges
-    // present, so it moves by the applied inserts only.
-    let applied_max = ops
-        .iter()
-        .zip(&want)
-        .filter(|&(&(_, insert), &did)| insert && did)
-        .map(|(&(e, _), _)| e.label.0)
-        .max()
-        .unwrap_or(0);
-    for shards in [1, 2, 4] {
-        let mut sg = ShardedGraph::from_graph(ShardConfig::hash(shards), g0).unwrap();
-        let want_max = GraphShard::max_edge_label(&sg).max(applied_max);
-        let mut got = Vec::new();
-        GraphShard::apply_edge_batch(&mut sg, ops, &mut got);
-        prop_assert_eq!(&got, &want, "flags on {} shards", shards);
-        prop_assert_eq!(sorted_edges(&sg), want_edges.clone());
-        prop_assert_eq!(GraphShard::num_edges(&sg), seq.num_edges());
-        prop_assert_eq!(GraphShard::max_edge_label(&sg), want_max);
-        sg.check_invariants().unwrap();
-    }
     Ok(())
 }
 

@@ -21,9 +21,7 @@ use crate::session::{Session, SessionFind, SessionSpec};
 use crate::shared::{SharedIndex, SharedIndexStats};
 use crate::telemetry::{ServiceTelemetry, TelemetryConfig, TelemetryHandle};
 use csm_check::sync::{Mutex, PoisonError};
-use csm_graph::{
-    CardinalityCatalog, DataGraph, EdgeUpdate, GraphShard, ShardStats, Update, VertexId,
-};
+use csm_graph::{CardinalityCatalog, DataGraph, EdgeUpdate, GraphShard, Update, VertexId};
 use paracosm_core::{
     Classified, CsmAlgorithm, CsmError, CsmResult, FanKind, FlightConfig, FlightRecorder,
     FlightStage, ProfileLevel, RunReport, SafeStage, SpanId, StageSnapshot, StreamObserver,
@@ -90,18 +88,40 @@ struct VertexAcc {
     elapsed: Duration,
 }
 
-/// One admitted update held in the sharded drain's current run (see
+/// One admitted update held in the drain's current run (see
 /// [`CsmService::drain`]): the original update for observer callbacks,
 /// plus its slot in the run's graph-apply ops vector.
 struct RunEntry {
     u: Update,
-    /// Invalid at admission (dead endpoint / self-loop): fans out as a
-    /// no-op without ever reaching the graph. Sound to judge at admission
+    /// Index into [`Run::ops`]; `None` when the update was invalid at
+    /// admission (dead endpoint / self-loop) and fans out as a no-op
+    /// without ever reaching the graph. Sound to judge at admission
     /// because liveness cannot change during an edge-only run.
-    invalid: bool,
-    /// Index into the ops vector handed to
-    /// [`GraphShard::apply_edge_batch`] (`None` when `invalid`).
     op: Option<usize>,
+}
+
+/// The drain's current run of edge updates that are label-safe for every
+/// session.
+#[derive(Default)]
+struct Run {
+    entries: Vec<RunEntry>,
+    /// The valid entries' ops, in admission order, for
+    /// [`GraphShard::apply_edge_batch`].
+    ops: Vec<(EdgeUpdate, bool)>,
+    /// Unordered vertex pairs the ops touch (deletions of these close the
+    /// run; see [`CsmService::admit_to_run`]).
+    touched: HashSet<(VertexId, VertexId)>,
+}
+
+impl Run {
+    fn push(&mut self, u: Update, e: EdgeUpdate, insert: bool, invalid: bool) {
+        let op = (!invalid).then(|| {
+            self.touched.insert((e.src.min(e.dst), e.src.max(e.dst)));
+            self.ops.push((e, insert));
+            self.ops.len() - 1
+        });
+        self.entries.push(RunEntry { u, op });
+    }
 }
 
 /// A long-lived continuous-subgraph-matching server: one evolving data
@@ -164,10 +184,8 @@ pub struct CsmService<G: GraphShard = DataGraph> {
 }
 
 impl<G: GraphShard> CsmService<G> {
-    /// Stand up a service over `g` with an empty session registry — any
-    /// [`GraphShard`] backend: a [`DataGraph`] serves updates exactly as
-    /// before, a [`csm_graph::ShardedGraph`] additionally unlocks the
-    /// multi-writer batched drain (see [`CsmService::drain`]).
+    /// Stand up a service over `g` with an empty session registry. `g` is
+    /// any [`GraphShard`] backend; the workspace's is [`DataGraph`].
     pub fn new(g: G, cfg: ServiceConfig) -> CsmResult<CsmService<G>> {
         let queue = Arc::new(AdmissionQueue::new(cfg.queue_capacity, cfg.policy)?);
         Ok(CsmService {
@@ -384,58 +402,35 @@ impl<G: GraphShard> CsmService<G> {
     /// Process every currently admitted update through all sessions, in
     /// admission order. Returns how many updates were processed.
     ///
-    /// On a sharded backend (`num_shards() > 1`) the drain runs in
-    /// *batched multi-writer* mode: maximal runs of edge updates that are
-    /// label-safe for every session are applied as one
-    /// [`GraphShard::apply_edge_batch`] call — one single-writer applier
-    /// per shard, no shard locks — and then fanned out per update in
-    /// admission order. Updates that cannot join a run (vertex updates, a
-    /// non-label-safe session, a deletion on a pair the run already
-    /// touched) flush the run and take the serial path. Per-session
-    /// results are bit-identical to the serial drain either way; the
-    /// sharded differential tests assert exactly this.
+    /// Maximal runs of edge updates that are label-safe for every session
+    /// are applied as one [`GraphShard::apply_edge_batch`] call and then
+    /// fanned out per update, in admission order. An update that cannot
+    /// join the run (a vertex update, an edge some session is not
+    /// label-safe for, a deletion of a pair the run already touched)
+    /// closes it and takes the serial path, and so does a run that closes
+    /// holding a single update. Per-session results are bit-identical to
+    /// draining after every update; the drain differential tests assert
+    /// exactly this.
     pub fn drain(&mut self) -> CsmResult<u64> {
-        if self.g.num_shards() > 1 {
-            return self.drain_sharded();
-        }
-        let mut n = 0;
-        while let Some(u) = self.queue.pop() {
-            self.process_one(u)?;
-            n += 1;
-        }
-        Ok(n)
-    }
-
-    /// The batched drain behind [`CsmService::drain`] for sharded
-    /// backends.
-    fn drain_sharded(&mut self) -> CsmResult<u64> {
         let mut n = 0u64;
-        let mut run: Vec<RunEntry> = Vec::new();
-        let mut ops: Vec<(EdgeUpdate, bool)> = Vec::new();
-        let mut touched: HashSet<(VertexId, VertexId)> = HashSet::new();
+        let mut run = Run::default();
         while let Some(u) = self.queue.pop() {
             n += 1;
-            match self.admit_to_run(&u, &touched) {
-                Some((e, insert, invalid)) => {
-                    let op = (!invalid).then(|| {
-                        touched.insert((e.src.min(e.dst), e.src.max(e.dst)));
-                        ops.push((e, insert));
-                        ops.len() - 1
-                    });
-                    run.push(RunEntry { u, invalid, op });
-                }
+            match self.admit_to_run(&u, &run.touched) {
+                Some((e, insert, invalid)) => run.push(u, e, insert, invalid),
                 None => {
-                    self.flush_run(&mut run, &mut ops, &mut touched);
+                    self.flush_run(&mut run)?;
                     self.process_one(u)?;
                 }
             }
         }
-        self.flush_run(&mut run, &mut ops, &mut touched);
+        self.flush_run(&mut run)?;
         Ok(n)
     }
 
-    /// May `u` join the current run of the sharded drain? Only edge
-    /// updates qualify, and only when label-safe for *every* session.
+    /// May `u` join the current run? Only edge updates qualify, and only
+    /// when label-safe for *every* session: with the shared index on that
+    /// is its union probe (two hash lookups), else a per-session scan.
     /// Stage 1 is state-independent within an edge-only run (it reads
     /// endpoint vertex labels, which edge ops never change), so the
     /// admission-time verdict still holds at fan-out time. Deletions must
@@ -445,7 +440,7 @@ impl<G: GraphShard> CsmService<G> {
     /// constant during the run and they fan out as no-ops.
     ///
     /// Returns `(edge, is_insert, invalid)`, or `None` when the update
-    /// must flush the run and go through the serial path.
+    /// must close the run and go through the serial path.
     fn admit_to_run(
         &self,
         u: &Update,
@@ -456,7 +451,8 @@ impl<G: GraphShard> CsmService<G> {
             Update::DeleteEdge(e) => (e, false),
             _ => return None,
         };
-        if !self.g.is_alive(e.src) || !self.g.is_alive(e.dst) || e.src == e.dst {
+        let g = &self.g;
+        if !g.is_alive(e.src) || !g.is_alive(e.dst) || e.src == e.dst {
             return Some((e, insert, true));
         }
         let e = if insert {
@@ -465,7 +461,7 @@ impl<G: GraphShard> CsmService<G> {
             if touched.contains(&(e.src.min(e.dst), e.src.max(e.dst))) {
                 return None;
             }
-            match self.g.edge_label(e.src, e.dst) {
+            match g.edge_label(e.src, e.dst) {
                 Some(l) => EdgeUpdate::new(e.src, e.dst, l),
                 // Absent pair: a structural no-op whatever the label
                 // claims, so the stage-1 probe below is immaterial —
@@ -473,91 +469,34 @@ impl<G: GraphShard> CsmService<G> {
                 None => return Some((e, insert, false)),
             }
         };
-        self.sessions
-            .iter()
-            .all(|s| s.eng.label_safe(&self.g, &e))
-            .then_some((e, insert, false))
+        let safe = match &self.shared {
+            Some(ix) => {
+                let safe = ix.label_safe_for_all(g.label(e.src), g.label(e.dst), e.label);
+                debug_assert_eq!(safe, self.sessions.iter().all(|s| s.eng.label_safe(g, &e)));
+                safe
+            }
+            None => self.sessions.iter().all(|s| s.eng.label_safe(g, &e)),
+        };
+        safe.then_some((e, insert, false))
     }
 
-    /// Apply the collected run as one batch through the shard appliers
-    /// and fan out per update, in admission order. Clears `run`, `ops`
-    /// and `touched` for the next run.
-    fn flush_run(
-        &mut self,
-        run: &mut Vec<RunEntry>,
-        ops: &mut Vec<(EdgeUpdate, bool)>,
-        touched: &mut HashSet<(VertexId, VertexId)>,
-    ) {
-        touched.clear();
-        if run.is_empty() {
-            return;
+    /// Close the run: a single update takes the serial path; two or more
+    /// are applied as one batch inside the first update's span and fanned
+    /// out per update, in admission order. Leaves `run` empty.
+    fn flush_run(&mut self, run: &mut Run) -> CsmResult<()> {
+        if run.entries.is_empty() {
+            return Ok(());
         }
-        let mut changed = Vec::with_capacity(ops.len());
-        // The catalog's touch protocol is order-independent, so one
-        // deduplicated endpoint set brackets the whole multi-writer
-        // batch: retire every touched contribution, apply in any order,
-        // re-admit every survivor.
-        let cat_touched: Vec<VertexId> = if self.catalog.is_some() && !ops.is_empty() {
-            let mut seen: HashSet<VertexId> = HashSet::with_capacity(ops.len() * 2);
-            let mut vs = Vec::with_capacity(ops.len() * 2);
-            for &(e, _) in ops.iter() {
-                if seen.insert(e.src) {
-                    vs.push(e.src);
-                }
-                if seen.insert(e.dst) {
-                    vs.push(e.dst);
-                }
-            }
-            if let Some(cat) = &self.catalog {
-                let mut c = lock(cat);
-                for &v in &vs {
-                    c.begin_touch(&self.g, v);
-                }
-            }
-            vs
-        } else {
-            Vec::new()
-        };
-        let apply = if ops.is_empty() {
-            Duration::ZERO
-        } else {
-            // One real Apply span for the whole run (arg: op count), then
-            // one zero-width Apply tag pair per shard — arg on `begin` is
-            // the shard id, on `end` its routed half-op count. The cold
-            // reader pairs sequential same-stage records within one span,
-            // so the tag pairs stay well-formed.
-            let bspan = self.flight.begin_span();
-            let t0 = Instant::now();
-            self.flight
-                .begin(0, bspan, FlightStage::Apply, ops.len() as u64);
-            self.g.apply_edge_batch(ops, &mut changed);
-            self.flight
-                .end(0, bspan, FlightStage::Apply, ops.len() as u64);
-            let dt = t0.elapsed();
-            let mut per_shard = vec![0u64; self.g.num_shards()];
-            for &(e, _) in ops.iter() {
-                per_shard[self.g.shard_of(e.src)] += 1;
-                per_shard[self.g.shard_of(e.dst)] += 1;
-            }
-            for (shard, &half_ops) in per_shard.iter().enumerate() {
-                if half_ops > 0 {
-                    self.flight
-                        .begin(0, bspan, FlightStage::Apply, shard as u64);
-                    self.flight.end(0, bspan, FlightStage::Apply, half_ops);
-                }
-            }
-            // Each fan-out is attributed its per-op share of the batch
-            // apply, so engine apply totals stay comparable to a serial
-            // run's.
-            dt / ops.len() as u32
-        };
-        if let Some(cat) = &self.catalog {
-            let mut c = lock(cat);
-            for &v in &cat_touched {
-                c.commit_touch(&self.g, v);
-            }
+        run.touched.clear();
+        if let [entry] = run.entries.as_slice() {
+            let u = entry.u;
+            run.entries.clear();
+            run.ops.clear();
+            return self.process_one(u);
         }
-        for entry in run.drain(..) {
+        let mut changed = Vec::with_capacity(run.ops.len());
+        let mut apply = Duration::ZERO;
+        for (i, entry) in run.entries.drain(..).enumerate() {
             let idx = self.update_idx;
             self.update_idx += 1;
             self.processed += 1;
@@ -566,15 +505,19 @@ impl<G: GraphShard> CsmService<G> {
             if let Some(t) = &self.telemetry {
                 t.begin_update(idx, self.queue.len() as u64, span);
             }
-            let did_change = entry.op.map(|i| changed[i]).unwrap_or(false);
-            if entry.invalid {
-                self.invalid += 1;
-                self.fan_noop(entry.u, idx, span);
-            } else if !did_change {
-                self.noops += 1;
-                self.fan_noop(entry.u, idx, span);
-            } else {
-                self.fan_label_safe_all(entry.u, idx, span, apply);
+            if i == 0 && !run.ops.is_empty() {
+                apply = self.apply_batch(&run.ops, &mut changed, span);
+            }
+            match entry.op {
+                None => {
+                    self.invalid += 1;
+                    self.fan_noop(entry.u, idx, span);
+                }
+                Some(op) if !changed[op] => {
+                    self.noops += 1;
+                    self.fan_noop(entry.u, idx, span);
+                }
+                Some(_) => self.fan_label_safe_all(entry.u, idx, span, apply),
             }
             self.flight.end(0, span, FlightStage::Admit, idx);
             if let Some(t) = &self.telemetry {
@@ -585,11 +528,56 @@ impl<G: GraphShard> CsmService<G> {
                     self.invalid,
                     &self.sessions,
                     shared_stats,
-                    self.g.shard_stats(),
                 );
             }
         }
-        ops.clear();
+        run.ops.clear();
+        Ok(())
+    }
+
+    /// Apply a run's ops as one batch, recorded as one Apply stage (arg:
+    /// op count) in `span`, and bracket it with the catalog's touch
+    /// protocol. Returns each op's share of the apply time, so engine
+    /// apply totals stay comparable to a serial run's.
+    fn apply_batch(
+        &mut self,
+        ops: &[(EdgeUpdate, bool)],
+        changed: &mut Vec<bool>,
+        span: SpanId,
+    ) -> Duration {
+        // The touch protocol is order-independent, so one deduplicated
+        // endpoint set brackets the whole batch: retire every touched
+        // contribution, apply, re-admit every survivor.
+        let cat_touched: Vec<VertexId> = match &self.catalog {
+            Some(cat) => {
+                let mut seen: HashSet<VertexId> = HashSet::with_capacity(ops.len() * 2);
+                let vs: Vec<VertexId> = ops
+                    .iter()
+                    .flat_map(|&(e, _)| [e.src, e.dst])
+                    .filter(|&v| seen.insert(v))
+                    .collect();
+                let mut c = lock(cat);
+                for &v in &vs {
+                    c.begin_touch(&self.g, v);
+                }
+                vs
+            }
+            None => Vec::new(),
+        };
+        let t0 = Instant::now();
+        self.flight
+            .begin(0, span, FlightStage::Apply, ops.len() as u64);
+        self.g.apply_edge_batch(ops, changed);
+        self.flight
+            .end(0, span, FlightStage::Apply, ops.len() as u64);
+        let dt = t0.elapsed();
+        if let Some(cat) = &self.catalog {
+            let mut c = lock(cat);
+            for &v in &cat_touched {
+                c.commit_touch(&self.g, v);
+            }
+        }
+        dt / ops.len() as u32
     }
 
     /// Fan one batched label-safe edge update across all sessions: the
@@ -669,7 +657,6 @@ impl<G: GraphShard> CsmService<G> {
         };
         Ok(ServiceReport {
             stalls,
-            shards: self.g.shard_stats(),
             shared: self.shared.as_ref().map(SharedIndex::stats),
             policy: self.queue.policy(),
             queue_capacity: self.queue.capacity(),
@@ -722,7 +709,6 @@ impl<G: GraphShard> CsmService<G> {
                 self.invalid,
                 &self.sessions,
                 shared_stats,
-                self.g.shard_stats(),
             );
         }
         result
@@ -955,16 +941,11 @@ impl<G: GraphShard> CsmService<G> {
                     .collect(),
             };
             self.flight.end(0, span, FlightStage::Classify, 0);
-            // Apply args carry the owning shard of each endpoint (both 0
-            // on monolithic backends), so flight forensics can attribute
-            // single-update applies to shards.
             self.catalog_begin_edge(e.src, e.dst);
             let t0 = Instant::now();
-            self.flight
-                .begin(0, span, FlightStage::Apply, self.g.shard_of(e.src) as u64);
+            self.flight.begin(0, span, FlightStage::Apply, 1);
             self.g.insert_edge(e.src, e.dst, e.label)?;
-            self.flight
-                .end(0, span, FlightStage::Apply, self.g.shard_of(e.dst) as u64);
+            self.flight.end(0, span, FlightStage::Apply, 1);
             let apply = t0.elapsed();
             self.catalog_commit_edge(e.src, e.dst);
             let g = &self.g;
@@ -1180,11 +1161,9 @@ impl<G: GraphShard> CsmService<G> {
             self.flight.end(0, span, FlightStage::Classify, 0);
             self.catalog_begin_edge(e.src, e.dst);
             let t0 = Instant::now();
-            self.flight
-                .begin(0, span, FlightStage::Apply, self.g.shard_of(e.src) as u64);
+            self.flight.begin(0, span, FlightStage::Apply, 1);
             self.g.remove_edge(e.src, e.dst)?;
-            self.flight
-                .end(0, span, FlightStage::Apply, self.g.shard_of(e.dst) as u64);
+            self.flight.end(0, span, FlightStage::Apply, 1);
             let apply = t0.elapsed();
             self.catalog_commit_edge(e.src, e.dst);
             let g = &self.g;
@@ -1348,9 +1327,6 @@ pub struct ServiceReport {
     /// Shared-index effectiveness counters (`None` when the index was
     /// disabled).
     pub shared: Option<SharedIndexStats>,
-    /// Final per-shard occupancy and applier counters (one entry for
-    /// monolithic backends).
-    pub shards: Vec<ShardStats>,
     /// Wall time since the service was constructed.
     pub elapsed: Duration,
     /// Final per-session reports (sessions live at shutdown), each tagged
@@ -1380,17 +1356,6 @@ impl ServiceReport {
             )),
             None => out.push_str(",\"shared\":null"),
         }
-        out.push_str(",\"shards\":[");
-        for (i, sh) in self.shards.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"shard\":{},\"owned_vertices\":{},\"half_edges\":{},\"applied_ops\":{}}}",
-                sh.shard, sh.owned_vertices, sh.half_edges, sh.applied_ops
-            ));
-        }
-        out.push(']');
         out.push_str(&format!(",\"elapsed_ns\":{}", self.elapsed.as_nanos()));
         out.push_str(",\"sessions\":[");
         for (i, r) in self.sessions.iter().enumerate() {

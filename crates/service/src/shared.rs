@@ -176,20 +176,19 @@ impl SharedIndex {
     pub(crate) fn begin_edge(&mut self, la: VLabel, lb: VLabel, el: ELabel) {
         self.involved.clear();
         self.involved.resize(self.metas.len(), false);
-        let (ka, kb) = if la <= lb { (la, lb) } else { (lb, la) };
-        for key in [
-            EdgePatternKey::canonical(ka, kb, Some(el)),
-            EdgePatternKey::canonical(ka, kb, None),
-        ] {
-            if let Some(positions) = self.subs.get(&key) {
-                for &p in positions {
-                    self.involved[p] = true;
-                }
-            }
+        for p in subscribers(&self.subs, la, lb, el) {
+            self.involved[p] = true;
         }
         self.degree_cache.clear();
         self.delta_cache.clear();
         self.memo.reset();
+    }
+
+    /// Is an edge with endpoint labels `(la, lb)` and label `el`
+    /// label-safe for every registered session? The same union lookup as
+    /// [`SharedIndex::begin_edge`], without touching the phase scratch.
+    pub(crate) fn label_safe_for_all(&self, la: VLabel, lb: VLabel, el: ELabel) -> bool {
+        subscribers(&self.subs, la, lb, el).next().is_none()
     }
 
     /// Stage-1 verdict from the last [`SharedIndex::begin_edge`]: is the
@@ -251,6 +250,25 @@ impl SharedIndex {
             misses: self.misses,
         }
     }
+}
+
+/// Positions subscribed to the edge's two canonical keys (exact edge
+/// label and wildcard): exactly the sessions *not* label-safe for it.
+fn subscribers(
+    subs: &HashMap<EdgePatternKey, Vec<usize>>,
+    la: VLabel,
+    lb: VLabel,
+    el: ELabel,
+) -> impl Iterator<Item = usize> + '_ {
+    let (ka, kb) = if la <= lb { (la, lb) } else { (lb, la) };
+    [
+        EdgePatternKey::canonical(ka, kb, Some(el)),
+        EdgePatternKey::canonical(ka, kb, None),
+    ]
+    .into_iter()
+    .filter_map(move |key| subs.get(&key))
+    .flatten()
+    .copied()
 }
 
 #[cfg(test)]

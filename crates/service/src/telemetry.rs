@@ -43,7 +43,7 @@ use crate::session::{DegradeLevel, Session};
 use crate::shared::SharedIndexStats;
 use csm_check::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use csm_check::sync::{Mutex, PoisonError};
-use csm_graph::{CardinalityCatalog, ELabel, GraphShard, ShardStats, VLabel};
+use csm_graph::{CardinalityCatalog, ELabel, GraphShard, VLabel};
 use paracosm_core::{
     CsmError, CsmResult, FlightEvent, FlightRecorder, Profiler, QueryProfile, SpanId, WindowConfig,
     WindowCounter, WindowRing, NUM_PROFILE_COUNTERS,
@@ -265,9 +265,6 @@ struct TelemetryShared {
     shared_subpatterns: AtomicU64,
     shared_hits: AtomicU64,
     shared_misses: AtomicU64,
-    /// Per-shard occupancy/applier mirror (one entry on monolithic
-    /// backends), refreshed by the owner thread after every update.
-    shards: Mutex<Vec<ShardStats>>,
     /// The service's live cardinality catalog (`None` until a
     /// `ProfileLevel::Full` session registers) — estimate source for
     /// `/profile` and `/debug/explain`.
@@ -430,7 +427,6 @@ impl ServiceTelemetry {
             shared_subpatterns: AtomicU64::new(0),
             shared_hits: AtomicU64::new(0),
             shared_misses: AtomicU64::new(0),
-            shards: Mutex::new(Vec::new()),
             catalog: Mutex::new(None),
             stalled: AtomicBool::new(false),
             stalls_total: AtomicU64::new(0),
@@ -526,7 +522,6 @@ impl ServiceTelemetry {
         invalid: u64,
         sessions: &[Session<G>],
         shared_stats: Option<SharedIndexStats>,
-        shard_stats: Vec<ShardStats>,
     ) {
         st(&self.shared.last_progress_ns, self.shared.now_ns().max(1));
         st(&self.shared.last_done_span, ld(&self.shared.inflight_span));
@@ -540,7 +535,6 @@ impl ServiceTelemetry {
             st(&self.shared.shared_hits, sh.hits);
             st(&self.shared.shared_misses, sh.misses);
         }
-        *lock(&self.shared.shards) = shard_stats;
         for (s, m) in sessions.iter().zip(self.mirror.iter()) {
             let (level, overruns, degraded, skipped, reuses) = s.telemetry_counters();
             st(&m.level, level_code(level));
@@ -847,44 +841,6 @@ fn render_prometheus(shared: &TelemetryShared) -> String {
         ("paracosm_shared_misses_total", ld(&shared.shared_misses)),
     ] {
         o.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
-    }
-
-    // Per-graph-shard occupancy and applier depth (one `shard="0"` series
-    // per family on a monolithic backend).
-    let shards = lock(&shared.shards).clone();
-    if !shards.is_empty() {
-        o.push_str(
-            "# HELP paracosm_shard_owned_vertices Alive vertices owned by each graph shard.\n",
-        );
-        o.push_str("# TYPE paracosm_shard_owned_vertices gauge\n");
-        for sh in &shards {
-            o.push_str(&format!(
-                "paracosm_shard_owned_vertices{{shard=\"{}\"}} {}\n",
-                sh.shard, sh.owned_vertices
-            ));
-        }
-        o.push_str(
-            "# HELP paracosm_shard_half_edges Half-edges stored per shard (each undirected \
-             edge counts once per endpoint owner).\n",
-        );
-        o.push_str("# TYPE paracosm_shard_half_edges gauge\n");
-        for sh in &shards {
-            o.push_str(&format!(
-                "paracosm_shard_half_edges{{shard=\"{}\"}} {}\n",
-                sh.shard, sh.half_edges
-            ));
-        }
-        o.push_str(
-            "# HELP paracosm_shard_applied_ops_total Half-edge ops routed through each \
-             shard's single-writer applier.\n",
-        );
-        o.push_str("# TYPE paracosm_shard_applied_ops_total counter\n");
-        for sh in &shards {
-            o.push_str(&format!(
-                "paracosm_shard_applied_ops_total{{shard=\"{}\"}} {}\n",
-                sh.shard, sh.applied_ops
-            ));
-        }
     }
 
     let sessions = lock(&shared.sessions).clone();

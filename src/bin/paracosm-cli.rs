@@ -46,9 +46,6 @@
 //!   --stall-deadline-ms N  watchdog no-progress deadline  (default: 5000)
 //!   --linger-ms N      after draining the stream, keep serving (and the
 //!                      telemetry endpoint up) for N ms before shutdown
-//!   --shards N         partition the data graph into N hash shards and
-//!                      run the multi-writer batched drain (default: 1 =
-//!                      monolithic; per-session ΔM is identical)
 //!   --profile LEVEL    off|counters|on — per-session enumeration profiler;
 //!                      `on` additionally maintains the live cardinality
 //!                      catalog and serves GET /profile and
@@ -79,7 +76,7 @@ fn usage() -> ! {
          --session Q.txt[:algo[:label]] [--session ...] [--threads N] \
          [--queue N] [--policy block|shed-oldest|reject] [--budget-ms N] \
          [--report-json PATH] [--quiet] [--telemetry-addr ADDR] \
-         [--stall-deadline-ms N] [--linger-ms N] [--shards N] \
+         [--stall-deadline-ms N] [--linger-ms N] \
          [--profile off|counters|on] [--shared-index on|off] \
          [--flight-capacity N] [--dump-flight-on-stall PATH] [--wedge-ms N]"
     );
@@ -152,7 +149,6 @@ fn serve_main(args: Vec<String>) {
     let mut telemetry_addr: Option<String> = None;
     let mut stall_deadline = Duration::from_secs(5);
     let mut linger = Duration::ZERO;
-    let mut shards = 1usize;
     let mut shared_index = true;
     let mut flight_capacity = 1024usize;
     let mut dump_flight: Option<String> = None;
@@ -185,7 +181,6 @@ fn serve_main(args: Vec<String>) {
             "--linger-ms" => {
                 linger = Duration::from_millis(val().parse().unwrap_or_else(|_| usage()))
             }
-            "--shards" => shards = val().parse().unwrap_or_else(|_| usage()),
             "--shared-index" => {
                 shared_index = match val().as_str() {
                     "on" => true,
@@ -219,7 +214,7 @@ fn serve_main(args: Vec<String>) {
         std::process::exit(1);
     });
     eprintln!(
-        "paracosm-cli serve: |V|={} |E|={} stream={} sessions={} policy={} queue={queue} shards={shards}",
+        "paracosm-cli serve: |V|={} |E|={} stream={} sessions={} policy={} queue={queue}",
         g.num_vertices(),
         g.num_edges(),
         s.len(),
@@ -243,21 +238,12 @@ fn serve_main(args: Vec<String>) {
         wedge,
         profile,
     };
-    if shards > 1 {
-        let sg = ShardedGraph::from_graph(ShardConfig::hash(shards), &g).unwrap_or_else(|e| {
-            eprintln!("serve: invalid shard config: {e}");
-            std::process::exit(1);
-        });
-        serve_with(sg, &s, opts)
-    } else {
-        serve_with(g, &s, opts)
-    }
+    serve_with(g, &s, opts)
 }
 
-/// The graph-generic tail of `serve`: identical over a monolithic
-/// [`DataGraph`] and a [`ShardedGraph`] (where the service drains in
-/// batched multi-writer mode).
-fn serve_with<G: GraphShard>(g: G, s: &UpdateStream, opts: ServeOpts) {
+/// The tail of `serve`: stand up the service over `g`, register the
+/// sessions, submit the stream and drain it.
+fn serve_with(g: DataGraph, s: &UpdateStream, opts: ServeOpts) {
     let mut svc = CsmService::new(
         g,
         ServiceConfig {

@@ -1,7 +1,7 @@
 //! Profiler-plane integration tests: the live cardinality catalog must
 //! stay *exact* — bit-identical to a from-scratch rebuild over the final
 //! graph — under every apply path the serving layer has (serial per-op,
-//! sharded batched multi-writer, vertex cascade deletes), and the
+//! batched drain, vertex cascade deletes), and the
 //! `/profile` scrape must reconcile exactly with the shutdown
 //! [`ServiceReport`], because both read the same attribution grid.
 
@@ -40,10 +40,9 @@ fn base_graph(seed: u64) -> DataGraph {
     g
 }
 
-/// Edge-only churn, hub-skewed: long label-safe runs so a sharded
-/// backend batches well past `MIN_SHARDED_BATCH` through
-/// `apply_edge_batch` (the multi-writer path the catalog's touch
-/// protocol must survive).
+/// Edge-only churn, hub-skewed: long label-safe runs that the drain
+/// batches through `apply_edge_batch` (the batched path the catalog's
+/// touch protocol must survive).
 fn edge_stream(seed: u64, len: usize) -> Vec<Update> {
     let mut rng = Lcg(seed ^ 0x9E3779B97F4A7C15);
     let mut out = Vec::with_capacity(len);
@@ -97,7 +96,7 @@ fn churn_stream(seed: u64, len: usize) -> Vec<Update> {
 }
 
 /// A query over labels the streams never carry: every edge update is
-/// label-safe for this session, so sharded drains batch whole runs.
+/// label-safe for this session, so the drain batches whole runs.
 fn absent_label_query() -> QueryGraph {
     let mut q = QueryGraph::new();
     let a = q.add_vertex(VLabel(7));
@@ -119,14 +118,18 @@ fn live_label_query() -> QueryGraph {
 }
 
 /// Drive `stream` through a `Full`-profiled service over `g`; return
-/// the incrementally maintained catalog and a rebuild oracle over the
-/// final graph.
-fn catalog_differential<G: GraphShard>(
-    g: G,
+/// the incrementally maintained catalog, a rebuild oracle over the final
+/// graph, and the largest batch the drain applied.
+fn catalog_differential(
+    g: DataGraph,
     q: QueryGraph,
     stream: &[Update],
-) -> (CardinalityCatalog, CardinalityCatalog) {
-    let mut svc = CsmService::new(g, ServiceConfig::default()).unwrap();
+) -> (CardinalityCatalog, CardinalityCatalog, u64) {
+    let cfg = ServiceConfig {
+        flight_capacity: 1 << 14,
+        ..ServiceConfig::default()
+    };
+    let mut svc = CsmService::new(g, cfg).unwrap();
     let algo = Box::new(AlgoKind::GraphFlow.build(svc.graph(), &q));
     let spec = SessionSpec::new(q, ParaCosmConfig::sequential().profiled(ProfileLevel::Full));
     svc.add_session(spec, algo, Box::new(NoopObserver)).unwrap();
@@ -139,32 +142,32 @@ fn catalog_differential<G: GraphShard>(
         .expect("a Full session activates the catalog");
     let mut oracle = CardinalityCatalog::new();
     oracle.rebuild(svc.graph());
+    let largest_batch = svc.flight().snapshot().shards[0]
+        .iter()
+        .filter(|e| e.stage == FlightStage::Apply && e.begin)
+        .map(|e| e.arg)
+        .max()
+        .unwrap_or(0);
     svc.shutdown().unwrap();
-    (live, oracle)
+    (live, oracle, largest_batch)
 }
 
 /// Acceptance: the incrementally maintained catalog equals a rebuild
-/// oracle after a sharded, batched, multi-writer drain (runs well past
-/// `MIN_SHARDED_BATCH`, every shard count and partitioner).
+/// oracle after a batched drain (label-safe edge runs applied as one
+/// batch each).
 #[test]
-fn catalog_exact_under_sharded_batched_apply() {
-    for shards in [2usize, 4] {
-        for seed in [3u64, 17] {
-            let stream = edge_stream(seed, 300);
-            let sg =
-                ShardedGraph::from_graph(ShardConfig::hash(shards), &base_graph(seed)).unwrap();
-            let (live, oracle) = catalog_differential(sg, absent_label_query(), &stream);
-            assert_eq!(
-                live, oracle,
-                "sharded batched apply drifted the catalog (shards={shards}, seed={seed})"
-            );
-            assert!(oracle.num_triples() > 0, "workload must be non-trivial");
-        }
+fn catalog_exact_under_batched_drain() {
+    for seed in [3u64, 17, 5] {
+        let stream = edge_stream(seed, 300);
+        let (live, oracle, largest_batch) =
+            catalog_differential(base_graph(seed), absent_label_query(), &stream);
+        assert_eq!(
+            live, oracle,
+            "batched drain drifted the catalog (seed={seed})"
+        );
+        assert!(oracle.num_triples() > 0, "workload must be non-trivial");
+        assert!(largest_batch > 1, "seed {seed}: no run was batched");
     }
-    let stream = edge_stream(5, 300);
-    let sg = ShardedGraph::from_graph(ShardConfig::range_even(3, NV * 2), &base_graph(5)).unwrap();
-    let (live, oracle) = catalog_differential(sg, absent_label_query(), &stream);
-    assert_eq!(live, oracle, "range partitioner drifted the catalog");
 }
 
 /// Same differential on the monolithic serial path, with a session that
@@ -174,7 +177,7 @@ fn catalog_exact_under_sharded_batched_apply() {
 fn catalog_exact_under_serial_path_and_cascades() {
     for seed in [1u64, 9, 42] {
         let stream = churn_stream(seed, 250);
-        let (live, oracle) = catalog_differential(base_graph(seed), live_label_query(), &stream);
+        let (live, oracle, _) = catalog_differential(base_graph(seed), live_label_query(), &stream);
         assert_eq!(
             live, oracle,
             "serial/cascade path drifted the catalog (seed={seed})"
@@ -182,14 +185,13 @@ fn catalog_exact_under_serial_path_and_cascades() {
     }
 }
 
-/// Mixed sessions (one profiled, one not) over a sharded backend: the
+/// Mixed sessions (one profiled, one not) under the batched drain: the
 /// catalog exists once, is maintained once, and stays exact while the
 /// unprofiled session rides along.
 #[test]
 fn catalog_exact_with_mixed_profiled_sessions() {
     let stream = churn_stream(13, 250);
-    let sg = ShardedGraph::from_graph(ShardConfig::hash(2), &base_graph(13)).unwrap();
-    let mut svc = CsmService::new(sg, ServiceConfig::default()).unwrap();
+    let mut svc = CsmService::new(base_graph(13), ServiceConfig::default()).unwrap();
     let q0 = live_label_query();
     let algo0 = Box::new(AlgoKind::GraphFlow.build(svc.graph(), &q0));
     svc.add_session(

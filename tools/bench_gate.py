@@ -14,9 +14,9 @@ Fresh artifacts produced by the CI run are matched to baselines by the
 * ``shared``  — deterministic counters (distinct/hits/misses/subpatterns)
   must match the baseline exactly; each cell's off/on speedup must not
   drop below the baseline beyond both runs' noise floors plus a margin.
-* ``shards``  — deterministic accounting (applied_ops/processed/
-  edges_final) exact; speedup floors as above; the committed baseline
-  itself must show the >= 2.5x dense hash-4 headline win.
+* ``ingest``  — deterministic counters (processed/noops/edges_final)
+  exact; speedup floors as above; the committed baseline itself must
+  show the >= 2.5x dense batched-over-per-op headline win.
 * ``profile`` — every arm must reproduce the baseline's deterministic
   ``positives`` exactly; the Off arms' mutual delta must sit within the
   sweep's noise floor; the ``counters`` arm's overhead must stay within
@@ -98,34 +98,34 @@ def gate_shared(base, fresh, failures):
         check_speedup(b, f, cell, failures, "shared")
 
 
-def gate_shards(base, fresh, failures):
-    check_config(base, fresh, ("seed", "stream_len", "reps"), failures, "shards")
-    key = lambda c: (c["workload"], c["partitioner"], c["shards"])
+def gate_ingest(base, fresh, failures):
+    check_config(base, fresh, ("seed", "stream_len", "reps"), failures, "ingest")
+    key = lambda c: (c["workload"], c["arm"])
     bcells = {key(c): c for c in base["cells"]}
     if len(bcells) != len(fresh["cells"]):
         failures.append(
-            f"shards: cell count {len(fresh['cells'])} != baseline {len(bcells)}"
+            f"ingest: cell count {len(fresh['cells'])} != baseline {len(bcells)}"
         )
         return
-    headline = bcells.get(("dense", "hash", 4))
+    headline = bcells.get(("dense", "batched"))
     if headline is None:
-        failures.append("shards: baseline lost the dense hash-4 headline cell")
+        failures.append("ingest: baseline lost the dense batched headline cell")
     elif headline["speedup"] < 2.5:
         failures.append(
-            f"shards: committed dense hash-4 speedup {headline['speedup']:.2f} < 2.5"
+            f"ingest: committed dense batched speedup {headline['speedup']:.2f} < 2.5"
         )
     for f in fresh["cells"]:
         b = bcells.get(key(f))
-        cell = "/".join(str(k) for k in key(f))
+        cell = "/".join(key(f))
         if b is None:
-            failures.append(f"shards/{cell}: cell missing from baseline")
+            failures.append(f"ingest/{cell}: cell missing from baseline")
             continue
-        # Same seed, single-writer appliers in admission order: these are
+        # Same seed, same stream, applied in admission order: these are
         # deterministic.
-        for k in ("applied_ops", "processed", "edges_final"):
+        for k in ("processed", "noops", "edges_final"):
             if f[k] != b[k]:
-                failures.append(f"shards/{cell}: {k} {f[k]} != baseline {b[k]}")
-        check_speedup(b, f, cell, failures, "shards")
+                failures.append(f"ingest/{cell}: {k} {f[k]} != baseline {b[k]}")
+        check_speedup(b, f, cell, failures, "ingest")
 
 
 def profile_arms_ok(art, who, failures):
@@ -174,7 +174,7 @@ def gate_profile(base, fresh, failures):
         failures.append(f"profile: positives {fp} != baseline {bp}")
 
 
-GATES = {"shared": gate_shared, "shards": gate_shards, "profile": gate_profile}
+GATES = {"shared": gate_shared, "ingest": gate_ingest, "profile": gate_profile}
 
 
 def main():
