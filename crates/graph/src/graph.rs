@@ -21,10 +21,11 @@
 //!   [`DataGraph::apply_edge_batch_with`]: it groups half-ops per endpoint
 //!   once, hands each scoped-thread task a disjoint sub-slice of the
 //!   adjacency table (disjoint `&mut` borrows, no locks, no unsafe), and
-//!   applies each endpoint's FIFO run by per-op splicing or, for a long
-//!   run against a long list, one merged rebuild (`merge_pays`: run
-//!   length `k ≥ 32` and `k · len ≥ 2^20`, from a cold-list measurement
-//!   in DESIGN.md §3.14).
+//!   applies each endpoint's FIFO run by per-op splicing (`k` shifts of
+//!   about `len / 2` entries) or, for two or more ops against a list of
+//!   at least 4096 entries, one in-place segment merge that moves each
+//!   entry after the run's first edited slot once (`merge_pays`, from the
+//!   cold-list measurement `merge_vs_splice_table` in DESIGN.md §3.14).
 //!
 //! **Ordering contract:** `neighbors(v)` is sorted by `(L(neighbor),
 //! elabel, id)`, *not* globally by id. Within one `(vlabel, elabel)` group
@@ -124,61 +125,52 @@ impl AdjList {
 
     /// Elabel of the edge to neighbor `n` (whose label is `nl`), if present.
     fn find(&self, n: VertexId, nl: VLabel) -> Option<ELabel> {
+        self.position(n, nl).map(|p| self.entries[p].1)
+    }
+
+    /// Slot of the entry for neighbor `n` (whose label is `nl`), if present:
+    /// one binary search per elabel group of `nl`.
+    fn position(&self, n: VertexId, nl: VLabel) -> Option<usize> {
         let (lo, hi) = self.vlabel_bounds(nl);
-        for gi in lo..hi {
+        (lo..hi).find_map(|gi| {
             let s = self.groups[gi].1 as usize;
-            let e = self.group_end(gi);
-            if self.entries[s..e]
+            self.entries[s..self.group_end(gi)]
                 .binary_search_by_key(&n, |&(v, _)| v)
-                .is_ok()
-            {
-                return Some(ELabel(self.groups[gi].0 as u32));
+                .ok()
+                .map(|off| s + off)
+        })
+    }
+
+    /// Slot before which neighbor `n` belongs in group `key`: its id-sorted
+    /// place if the group exists, else where the group would start.
+    fn slot(&self, key: u64, n: VertexId) -> usize {
+        match self.groups.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(gi) => {
+                let s = self.groups[gi].1 as usize;
+                s + self.entries[s..self.group_end(gi)].partition_point(|&(v, _)| v < n)
             }
+            Err(gi) => self.groups.get(gi).map_or(self.len(), |&(_, s)| s as usize),
         }
-        None
     }
 
     /// Insert neighbor `n` (label `nl`) over elabel `el`. Returns `false`
     /// if an edge to `n` already exists under *any* elabel (simple graph).
     fn insert(&mut self, n: VertexId, el: ELabel, nl: VLabel) -> bool {
-        let (lo, hi) = self.vlabel_bounds(nl);
-        for gi in lo..hi {
-            let s = self.groups[gi].1 as usize;
-            let e = self.group_end(gi);
-            if self.entries[s..e]
-                .binary_search_by_key(&n, |&(v, _)| v)
-                .is_ok()
-            {
-                return false;
-            }
+        if self.position(n, nl).is_some() {
+            return false;
         }
         let key = group_key(nl, el);
-        match self.groups[lo..hi].binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(rel) => {
-                let gi = lo + rel;
-                let s = self.groups[gi].1 as usize;
-                let e = self.group_end(gi);
-                let off = self.entries[s..e]
-                    .binary_search_by_key(&n, |&(v, _)| v)
-                    .expect_err("duplicate neighbor passed the group scan");
-                self.entries.insert(s + off, (n, el));
-                for g in &mut self.groups[gi + 1..] {
-                    g.1 += 1;
-                }
-            }
-            Err(rel) => {
-                let gi = lo + rel;
-                let pos = if gi == self.groups.len() {
-                    self.entries.len()
-                } else {
-                    self.groups[gi].1 as usize
-                };
-                self.entries.insert(pos, (n, el));
+        let pos = self.slot(key, n);
+        self.entries.insert(pos, (n, el));
+        let gi = match self.groups.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(gi) => gi,
+            Err(gi) => {
                 self.groups.insert(gi, (key, pos as u32));
-                for g in &mut self.groups[gi + 1..] {
-                    g.1 += 1;
-                }
+                gi
             }
+        };
+        for g in &mut self.groups[gi + 1..] {
+            g.1 += 1;
         }
         true
     }
@@ -186,14 +178,19 @@ impl AdjList {
     /// Apply one endpoint's FIFO run of half-ops, pushing one `changed`
     /// flag per op. Each flag reflects the list state the ops before it
     /// produced — exactly what calling [`AdjList::insert`] /
-    /// [`AdjList::remove`] per op gives. Short runs do just that, splicing
-    /// in place; long runs against long lists pay one merged rebuild
-    /// instead ([`merge_pays`]).
+    /// [`AdjList::remove`] per op gives. Runs that [`merge_pays`] for are
+    /// merged in place in one pass; the rest splice op by op.
     fn apply_run(&mut self, run: &[Tagged], out: &mut Vec<bool>) {
         if merge_pays(run.len(), self.len()) {
             self.apply_merged(run, out);
-            return;
+        } else {
+            self.apply_spliced(run, out);
         }
+    }
+
+    /// [`AdjList::apply_run`]'s per-op branch: one splice (a shift of the
+    /// entries after the edited slot) per op.
+    fn apply_spliced(&mut self, run: &[Tagged], out: &mut Vec<bool>) {
         for &(_, _, op) in run {
             out.push(match op {
                 HalfOp::Insert { n, el, nl } => self.insert(n, el, nl),
@@ -202,54 +199,54 @@ impl AdjList {
         }
     }
 
-    /// [`AdjList::apply_run`]'s long-run branch: replay the run against the
-    /// touched neighbors only, then splice the entry vector **once** —
-    /// `O(len + k log k)` instead of the `O(k · len)` shifts of per-op
-    /// application.
+    /// [`AdjList::apply_run`]'s merged branch: replay the run per touched
+    /// neighbor, then apply the net edits in one in-place pass
+    /// ([`AdjList::merge_in_place`]).
     fn apply_merged(&mut self, run: &[Tagged], out: &mut Vec<bool>) {
-        // Distinct touched neighbors, with their initial edge label. A
-        // neighbor's vertex label is stable for the whole batch (vertex
-        // updates never share a batch with edge updates).
-        let mut touched: Vec<(VertexId, VLabel)> = run
+        // Op indices keyed by neighbor id: sorted, each neighbor's ops
+        // form one FIFO chunk (run length < 2^31, see `split_edge_batch`).
+        let mut order: Vec<u64> = run
             .iter()
-            .map(|&(_, _, op)| (op.neighbor(), op.neighbor_label()))
+            .enumerate()
+            .map(|(i, &(_, _, op))| (u64::from(op.neighbor().0) << 32) | i as u64)
             .collect();
-        touched.sort_unstable_by_key(|&(n, _)| n);
-        touched.dedup_by_key(|e| e.0);
-        let init: Vec<Option<ELabel>> = touched.iter().map(|&(n, nl)| self.find(n, nl)).collect();
-        let mut cur = init.clone();
+        order.sort_unstable();
+        let base = out.len();
+        out.resize(base + run.len(), false);
 
-        // Replay the sequence against the touched-set state only.
-        for &(_, _, op) in run {
-            let i = touched
-                .binary_search_by_key(&op.neighbor(), |&(n, _)| n)
-                .expect("op neighbor missing from touched set");
-            out.push(match op {
-                HalfOp::Insert { el, .. } => {
-                    if cur[i].is_none() {
-                        cur[i] = Some(el);
-                        true
-                    } else {
-                        false
+        // Per neighbor: one probe for its old slot, a replay of its ops
+        // against that one entry, and its net edit addressed by old slot.
+        // A neighbor's vertex label is stable for the whole batch (vertex
+        // updates never share a batch with edge updates).
+        let mut inserts: Vec<(usize, u64, VertexId, ELabel)> = Vec::new();
+        let mut removes: Vec<(usize, u64)> = Vec::new();
+        let index = |o: u64| (o & u64::from(u32::MAX)) as usize;
+        for chunk in order.chunk_by(|x, y| x >> 32 == y >> 32) {
+            let first = run[index(chunk[0])].2;
+            let (n, nl) = (first.neighbor(), first.neighbor_label());
+            let old = self.position(n, nl).map(|p| (p, self.entries[p].1));
+            let mut cur = old.map(|o| o.1);
+            for &o in chunk {
+                let i = index(o);
+                out[base + i] = match run[i].2 {
+                    HalfOp::Insert { el, .. } => {
+                        if cur.is_none() {
+                            cur = Some(el);
+                            true
+                        } else {
+                            false
+                        }
                     }
-                }
-                HalfOp::Remove { .. } => cur[i].take().is_some(),
-            });
-        }
-
-        // Net effect per neighbor → one merged rebuild.
-        let mut inserts: Vec<(u64, VertexId, ELabel)> = Vec::new();
-        let mut removes: Vec<(u64, VertexId)> = Vec::new();
-        for (i, &(n, nl)) in touched.iter().enumerate() {
-            match (init[i], cur[i]) {
-                (None, Some(el)) => inserts.push((group_key(nl, el), n, el)),
-                (Some(el0), None) => removes.push((group_key(nl, el0), n)),
-                (Some(el0), Some(el1)) if el0 != el1 => {
-                    // Removed and re-inserted under a different elabel.
-                    removes.push((group_key(nl, el0), n));
-                    inserts.push((group_key(nl, el1), n, el1));
-                }
-                _ => {}
+                    HalfOp::Remove { .. } => cur.take().is_some(),
+                };
+            }
+            if let Some((p, el0)) = old.filter(|&(_, el0)| cur != Some(el0)) {
+                // Removed, or removed and re-inserted under another elabel.
+                removes.push((p, group_key(nl, el0)));
+            }
+            if let Some(el) = cur.filter(|&el| old.map(|o| o.1) != Some(el)) {
+                let key = group_key(nl, el);
+                inserts.push((self.slot(key, n), key, n, el));
             }
         }
         if inserts.is_empty() && removes.is_empty() {
@@ -257,57 +254,97 @@ impl AdjList {
         }
         inserts.sort_unstable();
         removes.sort_unstable();
-        self.rebuild_merged(&inserts, &removes);
+        self.merge_in_place(&inserts, &removes);
     }
 
-    /// Rebuild `entries`/`groups` in one pass: old entries (minus
-    /// `removes`) merged with `inserts`, both sorted by `(group key, id)`.
-    fn rebuild_merged(&mut self, inserts: &[(u64, VertexId, ELabel)], removes: &[(u64, VertexId)]) {
-        let old_entries = std::mem::take(&mut self.entries);
-        let old_groups = std::mem::take(&mut self.groups);
-        let mut entries: Vec<(VertexId, ELabel)> =
-            Vec::with_capacity(old_entries.len() + inserts.len() - removes.len());
-        let mut groups: Vec<(u64, u32)> = Vec::new();
-        fn push(
-            groups: &mut Vec<(u64, u32)>,
-            entries: &mut Vec<(VertexId, ELabel)>,
-            key: u64,
-            n: VertexId,
-            el: ELabel,
-        ) {
-            if groups.last().map(|&(k, _)| k) != Some(key) {
-                groups.push((key, entries.len() as u32));
+    /// Apply net edits to the old list in place: drop the entries at
+    /// `removes` (old slots with their group keys) and place `inserts`
+    /// (`(old slot, key, id, elabel)`, each going before the old entry at
+    /// its slot); both sorted, hence also by group key. Every untouched
+    /// segment moves once by its running offset — inserts so far minus
+    /// removes so far — so a run of `k` edits moves at most the entries
+    /// after its first edited slot, and nothing past the last one when
+    /// the run's net size change is zero. `groups` is rebuilt from per-key
+    /// net counts in `O(#groups + k)`.
+    fn merge_in_place(
+        &mut self,
+        inserts: &[(usize, u64, VertexId, ELabel)],
+        removes: &[(usize, u64)],
+    ) {
+        let old_len = self.len();
+        let new_len = old_len + inserts.len() - removes.len();
+
+        // Per-key net counts over the old groups → the new partition index.
+        let mut groups = Vec::with_capacity(self.groups.len() + inserts.len());
+        let mut adds = inserts.iter().map(|i| i.1).peekable();
+        let mut subs = removes.iter().map(|r| r.1).peekable();
+        let (mut gi, mut start) = (0, 0u32);
+        loop {
+            let old = self.groups.get(gi).map(|g| g.0);
+            let Some(key) = old.into_iter().chain(adds.peek().copied()).min() else {
+                break;
+            };
+            let mut size = 0;
+            if old == Some(key) {
+                size = self.group_end(gi) - self.groups[gi].1 as usize;
+                gi += 1;
             }
-            entries.push((n, el));
-        }
-        let mut ins = inserts.iter().peekable();
-        let mut rem = removes.iter().peekable();
-        for gi in 0..old_groups.len() {
-            let (key, s) = old_groups[gi];
-            let e = old_groups
-                .get(gi + 1)
-                .map_or(old_entries.len(), |&(_, s)| s as usize);
-            for &(n, el) in &old_entries[s as usize..e] {
-                while let Some(&&(ik, inn, iel)) = ins.peek() {
-                    if (ik, inn) < (key, n) {
-                        push(&mut groups, &mut entries, ik, inn, iel);
-                        ins.next();
-                    } else {
-                        break;
-                    }
-                }
-                if rem.peek() == Some(&&(key, n)) {
-                    rem.next();
-                    continue;
-                }
-                push(&mut groups, &mut entries, key, n, el);
+            while adds.next_if_eq(&key).is_some() {
+                size += 1;
+            }
+            while subs.next_if_eq(&key).is_some() {
+                size -= 1;
+            }
+            if size > 0 {
+                groups.push((key, start));
+                start += size as u32;
             }
         }
-        for &(ik, inn, iel) in ins {
-            push(&mut groups, &mut entries, ik, inn, iel);
+        debug_assert!(subs.peek().is_none(), "remove key missing from groups");
+
+        // One walk over the edits in old-slot order (an insert before a
+        // remove at the same slot): the segment moves `(from, to, shift)`
+        // and the new slot of each insert.
+        let mut moves: Vec<(usize, usize, isize)> =
+            Vec::with_capacity(inserts.len() + removes.len() + 1);
+        let mut holes: Vec<usize> = Vec::with_capacity(inserts.len());
+        let (mut ii, mut ri, mut from, mut shift) = (0, 0, 0, 0isize);
+        loop {
+            let (at, is_insert) = match (inserts.get(ii), removes.get(ri)) {
+                (Some(i), Some(r)) if i.0 <= r.0 => (i.0, true),
+                (_, Some(r)) => (r.0, false),
+                (Some(i), None) => (i.0, true),
+                (None, None) => break,
+            };
+            if at > from && shift != 0 {
+                moves.push((from, at, shift));
+            }
+            if is_insert {
+                holes.push(at.wrapping_add_signed(shift));
+                (ii, from, shift) = (ii + 1, at, shift + 1);
+            } else {
+                (ri, from, shift) = (ri + 1, at + 1, shift - 1);
+            }
         }
-        debug_assert!(rem.peek().is_none(), "remove target missing from list");
-        self.entries = entries;
+        if old_len > from && shift != 0 {
+            moves.push((from, old_len, shift));
+        }
+
+        // Left shifts front to back, then right shifts back to front: each
+        // segment's destination is then free when it moves.
+        if new_len > old_len {
+            self.entries.resize(new_len, (VertexId(0), ELabel(0)));
+        }
+        for &(s, e, d) in moves.iter().filter(|m| m.2 < 0) {
+            self.entries.copy_within(s..e, s.wrapping_add_signed(d));
+        }
+        for &(s, e, d) in moves.iter().rev().filter(|m| m.2 > 0) {
+            self.entries.copy_within(s..e, s.wrapping_add_signed(d));
+        }
+        for (&h, &(_, _, n, el)) in holes.iter().zip(inserts) {
+            self.entries[h] = (n, el);
+        }
+        self.entries.truncate(new_len);
         self.groups = groups;
     }
 
@@ -381,23 +418,23 @@ impl HalfOp {
 /// knows which half's verdict to keep.
 type Tagged = (u32, VertexId, HalfOp);
 
-/// Run length below which [`AdjList::apply_run`] always splices.
-const MERGE_MIN_RUN: usize = 32;
+/// List length from which [`AdjList::apply_run`] merges a run of two or
+/// more half-ops.
+const MERGE_MIN_LEN: usize = 1 << 12;
 
-/// Run length × list length from which the merged rebuild pays.
-const MERGE_MIN_WORK: usize = 1 << 20;
-
-/// Should a run of `k` half-ops against a list of `len` entries take the
-/// merged rebuild? Splicing costs `k` binary searches plus `k` shifts of
-/// about `len / 2` entries; the rebuild costs one pass over `len + k`
-/// fresh entries plus a sort and a probe per touched neighbor, so it wins
-/// only once `k · len` outgrows the rebuild's per-op overhead. Measured on
-/// cold lists (DESIGN.md §3.14), the rebuild breaks even near `k = 32` on
-/// a 100 k list, `k ≈ 80` at 10 k and `k ≈ 512` at 1 k, and never at
-/// `k ≤ 16`.
+/// Should a run of `k` half-ops against a list of `len` entries be merged
+/// in place rather than spliced op by op? Splicing shifts about `len / 2`
+/// entries per op, `k · len / 2` in all; the merge moves each entry after
+/// the run's first edited slot once, about `len · k / (k + 1)`, but pays
+/// a sort of the run and a probe per touched neighbor up front. Measured
+/// on cold lists (`merge_vs_splice_table` below, DESIGN.md §3.14), the
+/// merge loses below 4 k entries, breaks even at 4 k for `k ≤ 32` and
+/// wins there for long runs, and wins at every `k ≥ 2` from 6 k on
+/// (0.07–0.7× the splice time at 100 k). A single op always splices:
+/// merging it moves as much and adds the bookkeeping.
 #[inline]
 fn merge_pays(k: usize, len: usize) -> bool {
-    k >= MERGE_MIN_RUN && k.saturating_mul(len) >= MERGE_MIN_WORK
+    k >= 2 && len >= MERGE_MIN_LEN
 }
 
 /// The dynamic, labeled, undirected data graph `G = (V, E, L)`.
@@ -775,7 +812,7 @@ impl DataGraph {
     ///
     /// Each op becomes two tagged half-ops, grouped per endpoint once; each
     /// endpoint's FIFO run goes through one per-list routine that splices
-    /// short runs in place and rebuilds a long list once for a long run.
+    /// op by op or, on a long list, merges the whole run in one pass.
     /// Endpoint runs are split over scoped-thread jobs, each owning a
     /// disjoint sub-slice of the adjacency table — no locks, no unsafe.
     pub fn apply_edge_batch_with(
@@ -1292,14 +1329,310 @@ mod tests {
         par.check_invariants().unwrap();
     }
 
-    /// The hub runs of `parallel_apply_props` straddle the rule: 255 ops
-    /// on a 4096-long list splice, 256 merge.
+    /// The hub runs of `parallel_apply_props` straddle the rule: on the
+    /// 4096-long hubs a single op splices and a run of 510 merges.
     #[test]
     fn merge_rule_straddles_the_property_hubs() {
-        assert!(!merge_pays(255, 4096));
-        assert!(merge_pays(256, 4096));
-        assert!(!merge_pays(MERGE_MIN_RUN - 1, 1 << 20));
-        assert!(merge_pays(MERGE_MIN_RUN, 1 << 15));
+        assert!(!merge_pays(1, 4096));
+        assert!(merge_pays(510, 4096));
+        assert!(!merge_pays(1, 1 << 20));
+        assert!(merge_pays(2, 1 << 15));
+        assert!(!merge_pays(1 << 16, MERGE_MIN_LEN - 1));
+        assert!(merge_pays(2, MERGE_MIN_LEN));
+    }
+
+    /// Leaves of [`hub_fixture`]'s hub.
+    const HUB_LEAVES: u32 = 4200;
+
+    /// Named vertices of [`hub_fixture`].
+    struct HubIds {
+        /// Unconnected leaf that sorts first in the hub's first group.
+        first: VertexId,
+        /// Unconnected leaf that sorts last in the hub's last group.
+        last: VertexId,
+        /// The three neighbors of the hub's elabel-7 group.
+        small: [VertexId; 3],
+        /// Isolated vertices labeled 0: before every hub group.
+        low: [VertexId; 2],
+        /// Isolated vertices labeled 9: after every hub group.
+        high: [VertexId; 2],
+    }
+
+    /// Vertex 0 is a hub adjacent to leaves `1..=HUB_LEAVES` — leaf `i`
+    /// labeled `1 + i % 3` over elabel `(i / 3) % 2`, six groups — except
+    /// `first` and `last`, plus a three-entry elabel-7 group in the middle
+    /// of its list. Its degree is above [`MERGE_MIN_LEN`].
+    fn hub_fixture() -> (DataGraph, HubIds) {
+        let key = |i: u32| (1 + i % 3, (i / 3) % 2);
+        let first = (1..=HUB_LEAVES).find(|&i| key(i) == (1, 0)).unwrap();
+        let last = (1..=HUB_LEAVES).rev().find(|&i| key(i) == (3, 1)).unwrap();
+        let mut g = DataGraph::new();
+        g.add_vertex(VLabel(0));
+        for i in 1..=HUB_LEAVES {
+            g.add_vertex(VLabel(key(i).0));
+        }
+        for i in (1..=HUB_LEAVES).filter(|&i| i != first && i != last) {
+            g.insert_edge(VertexId(0), VertexId(i), ELabel(key(i).1))
+                .unwrap();
+        }
+        let mut add = |l: u32| g.add_vertex(VLabel(l));
+        let (low, high) = ([add(0), add(0)], [add(9), add(9)]);
+        let small = [add(2), add(2), add(2)];
+        for v in small {
+            g.insert_edge(VertexId(0), v, ELabel(7)).unwrap();
+        }
+        assert!(g.degree(VertexId(0)) >= MERGE_MIN_LEN);
+        let (first, last) = (VertexId(first), VertexId(last));
+        (
+            g,
+            HubIds {
+                first,
+                last,
+                small,
+                low,
+                high,
+            },
+        )
+    }
+
+    /// Apply `ops` — `(neighbor, elabel, insert)`, each naming the hub of
+    /// [`hub_fixture`] — as one batch and op by op. The hub's run must take
+    /// the merge, and the two graphs must agree exactly: flags, every
+    /// adjacency list and partition index, counters, invariants. Returns
+    /// the hub's list before and after, and whether the merge kept its
+    /// entry buffer.
+    fn merge_matches_replay(
+        g0: &DataGraph,
+        ops: &[(VertexId, ELabel, bool)],
+    ) -> (AdjList, AdjList, bool) {
+        let hub = VertexId(0);
+        let batch: Vec<(EdgeUpdate, bool)> = ops
+            .iter()
+            .map(|&(n, el, ins)| (EdgeUpdate::new(hub, n, el), ins))
+            .collect();
+        assert!(merge_pays(batch.len(), g0.degree(hub)));
+        let mut seq = g0.clone();
+        let want: Vec<bool> = batch
+            .iter()
+            .map(|&(e, ins)| {
+                if ins {
+                    seq.insert_edge(e.src, e.dst, e.label).unwrap()
+                } else {
+                    seq.remove_edge(e.src, e.dst).unwrap().is_some()
+                }
+            })
+            .collect();
+        let mut g = g0.clone();
+        g.adj[0].entries.reserve(ops.len());
+        let buffer = g.adj[0].entries.as_ptr();
+        let mut got = Vec::new();
+        g.apply_edge_batch_with(&batch, &mut got, 1);
+        assert_eq!(got, want);
+        assert!(g.adj == seq.adj, "adjacency differs from per-op replay");
+        assert_eq!(g.num_edges(), seq.num_edges());
+        assert_eq!(g.max_edge_label(), seq.max_edge_label());
+        g.check_invariants().unwrap();
+        let kept = g.adj[0].entries.as_ptr() == buffer;
+        (g0.adj[0].clone(), g.adj[0].clone(), kept)
+    }
+
+    #[test]
+    fn merge_empties_a_group() {
+        let (g, ids) = hub_fixture();
+        let ops: Vec<_> = ids.small.iter().map(|&v| (v, ELabel(7), false)).collect();
+        let (before, after, _) = merge_matches_replay(&g, &ops);
+        assert_eq!(after.groups.len(), before.groups.len() - 1);
+        assert_eq!(after.slice(VLabel(2), ELabel(7)), &[]);
+    }
+
+    #[test]
+    fn merge_creates_groups_before_the_first_and_after_the_last() {
+        let (g, ids) = hub_fixture();
+        let ops = [
+            (ids.high[1], ELabel(0), true),
+            (ids.low[0], ELabel(3), true),
+            (ids.high[0], ELabel(0), true),
+            (ids.low[1], ELabel(0), true),
+        ];
+        let (before, after, _) = merge_matches_replay(&g, &ops);
+        assert_eq!(after.groups.len(), before.groups.len() + 3);
+        assert_eq!(
+            after.entries[..2],
+            [(ids.low[1], ELabel(0)), (ids.low[0], ELabel(3))]
+        );
+        assert_eq!(
+            after.slice(VLabel(9), ELabel(0)),
+            &[(ids.high[0], ELabel(0)), (ids.high[1], ELabel(0))]
+        );
+    }
+
+    #[test]
+    fn merge_relabels_a_neighbor() {
+        let (g, _) = hub_fixture();
+        // Leaf 3 sits in group (1, 1), leaf 5 in (3, 1).
+        let (a, b) = (VertexId(3), VertexId(5));
+        let ops = [
+            (a, ELabel(1), false),
+            (b, ELabel(1), false),
+            (a, ELabel(0), true),
+            (b, ELabel(4), true),
+        ];
+        let (before, after, _) = merge_matches_replay(&g, &ops);
+        assert_eq!(after.find(a, VLabel(1)), Some(ELabel(0)));
+        assert_eq!(after.find(b, VLabel(3)), Some(ELabel(4)));
+        assert_eq!(after.groups.len(), before.groups.len() + 1);
+    }
+
+    #[test]
+    fn merge_inserts_at_slot_zero_and_at_the_end() {
+        let (g, ids) = hub_fixture();
+        let ops = [(ids.last, ELabel(1), true), (ids.first, ELabel(0), true)];
+        let (before, after, _) = merge_matches_replay(&g, &ops);
+        assert_eq!(after.entries[0], (ids.first, ELabel(0)));
+        assert_eq!(after.entries.last(), Some(&(ids.last, ELabel(1))));
+        assert_eq!(after.entries[1..before.len() + 1], before.entries[..]);
+    }
+
+    #[test]
+    fn merge_net_zero_run_leaves_the_tail_in_place() {
+        let (g, ids) = hub_fixture();
+        // Insert at slot 0, remove the entry at slot 5: nothing after it moves.
+        let (v5, el5) = g.adj[0].entries[5];
+        let ops = [(v5, el5, false), (ids.first, ELabel(0), true)];
+        let (before, after, kept) = merge_matches_replay(&g, &ops);
+        assert!(kept, "a net-zero merge reallocated the list");
+        assert_eq!(after.len(), before.len());
+        assert_eq!(after.entries[6..], before.entries[6..]);
+        assert_eq!(after.entries[1..6], before.entries[..5]);
+    }
+
+    #[test]
+    fn merge_applies_an_all_remove_run() {
+        let (g, _) = hub_fixture();
+        let ops: Vec<_> = g.adj[0]
+            .entries
+            .iter()
+            .step_by(97)
+            .map(|&(v, el)| (v, el, false))
+            .collect();
+        let (before, after, kept) = merge_matches_replay(&g, &ops);
+        assert!(kept);
+        assert_eq!(after.len(), before.len() - ops.len());
+    }
+
+    #[test]
+    fn merge_insert_then_remove_is_a_no_op() {
+        let (g, ids) = hub_fixture();
+        let ops = [
+            (ids.low[0], ELabel(2), true),
+            (ids.low[0], ELabel(2), false),
+        ];
+        let (before, after, kept) = merge_matches_replay(&g, &ops);
+        assert!(kept);
+        assert_eq!(after, before);
+    }
+
+    /// A sorted list of `len` neighbors with even ids `0, 2, …`: neighbor
+    /// `n` is labeled `n % 3` over elabel `(n / 2) % 2`, six groups in all.
+    fn even_list(len: u32) -> AdjList {
+        let run: Vec<Tagged> = (0..len)
+            .map(|i| {
+                (
+                    i,
+                    VertexId(0),
+                    HalfOp::Insert {
+                        n: VertexId(2 * i),
+                        el: ELabel(i % 2),
+                        nl: VLabel(2 * i % 3),
+                    },
+                )
+            })
+            .collect();
+        let mut list = AdjList::default();
+        list.apply_merged(&run, &mut Vec::new());
+        list
+    }
+
+    /// Splice-vs-merge micro-measurement behind [`merge_pays`]: prints
+    /// merge ÷ splice time for one run of `k` half-ops against a list of
+    /// `len` entries, half inserts of absent neighbors and half removes of
+    /// present ones at uniformly random slots. Each cell applies one run
+    /// to each of enough freshly cloned lists to fill 32 MiB (at least
+    /// 8), so lists start cold, each with room for `k` more entries; best
+    /// of 7 per arm. Run with
+    /// `cargo test --release -p csm-graph --lib merge_vs_splice -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "timing measurement; prints the merge ÷ splice table"]
+    fn merge_vs_splice_table() {
+        use std::time::{Duration, Instant};
+        const LENS: [u32; 7] = [1_000, 2_000, 4_000, 6_000, 10_000, 30_000, 100_000];
+        const KS: [usize; 7] = [2, 3, 4, 8, 16, 32, 256];
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |m: u32| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 32) as u32 % m
+        };
+        println!(
+            "| list length | {} |",
+            KS.map(|k| format!("k = {k}")).join(" | ")
+        );
+        println!("|---:|{}", "---:|".repeat(KS.len()));
+        for len in LENS {
+            let base = even_list(len);
+            let copies = ((32 << 20) / (8 * len as usize)).clamp(8, 4096);
+            let mut cells = Vec::new();
+            for k in KS {
+                let runs: Vec<Vec<Tagged>> = (0..copies)
+                    .map(|_| {
+                        (0..k as u32)
+                            .map(|t| {
+                                let n = 2 * next(len);
+                                let op = if next(2) == 0 {
+                                    HalfOp::Insert {
+                                        n: VertexId(n + 1),
+                                        el: ELabel(next(2)),
+                                        nl: VLabel((n + 1) % 3),
+                                    }
+                                } else {
+                                    HalfOp::Remove {
+                                        n: VertexId(n),
+                                        nl: VLabel(n % 3),
+                                    }
+                                };
+                                (t, VertexId(0), op)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let time = |merge: bool| {
+                    let mut best = Duration::MAX;
+                    for _ in 0..7 {
+                        let mut lists = vec![base.clone(); copies];
+                        for list in &mut lists {
+                            list.entries.reserve(k);
+                        }
+                        let mut out = Vec::with_capacity(k);
+                        let t0 = Instant::now();
+                        for (list, run) in lists.iter_mut().zip(&runs) {
+                            out.clear();
+                            if merge {
+                                list.apply_merged(run, &mut out);
+                            } else {
+                                list.apply_spliced(run, &mut out);
+                            }
+                        }
+                        best = best.min(t0.elapsed());
+                        std::hint::black_box(&lists);
+                    }
+                    best.as_secs_f64()
+                };
+                let (splice, merge) = (time(false), time(true));
+                cells.push(format!("{:.2}", merge / splice));
+            }
+            println!("| {len} | {} |", cells.join(" | "));
+        }
     }
 
     /// Regression: a bulk insert of 64+ edges once took `max_edge_label`

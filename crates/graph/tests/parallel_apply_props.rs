@@ -111,9 +111,9 @@ proptest! {
     }
 
     /// Two hubs hold [`HUB_DEGREE`] neighbors each. One receives a run of
-    /// 255 valid ops, the other 256: with a 4096-long list those straddle
+    /// one valid op, the other 510: with a 4096-long list those straddle
     /// the splice/merge rule, so one hub splices in place and the other
-    /// takes the merged rebuild, inside one batch. Random small-graph ops
+    /// takes the in-place merge, inside one batch. Random small-graph ops
     /// that avoid the hubs are interleaved.
     #[test]
     fn hub_runs_straddle_the_merge_threshold(
@@ -138,7 +138,7 @@ proptest! {
             (x >> 33) as u32 % m
         };
         let mut hub_ops = Vec::new();
-        for (hub, k) in [(0u32, 255usize), (1, 256)] {
+        for (hub, k) in [(0u32, 1usize), (1, 510)] {
             let h = VertexId(hub);
             let mut run = Vec::new();
             while run.len() < k {
